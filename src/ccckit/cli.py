@@ -31,6 +31,7 @@ import sys
 from . import example72
 from .construct import (
     CodeSet,
+    ConfigError,
     ConstructionSpec,
     build_code_set,
     corollary1_spec,
@@ -44,10 +45,6 @@ from .exact_corr import correlation_profile
 from .mixed_radix import DomainSpec
 from .qary import SpecError
 from .verify import necessity_probe, verify_ccc
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ UNIFORM = "uniform"
 MIXED = "mixed"
 
 
+class ConfigError(ValueError):
+    """A build config or serialized code set is malformed."""
+
+
 @dataclass(frozen=True)
 class CodeSet:
     """K codes of M sequences, length L, exponents mod q.
@@ -132,10 +136,16 @@ class CodeSet:
         K = len(codes)
         M = len(codes[0]) if K else 0
         L = len(codes[0][0]) if M else 0
+        if not (K and M and L):
+            raise ConfigError(f"code set must be non-empty, got K={K}, M={M}, L={L}")
         exps = np.zeros((K, M, L), dtype=np.int64)
         mask = np.ones((K, M, L), dtype=bool)
         for k, row in enumerate(codes):
+            if len(row) != M:
+                raise ConfigError(f"code {k} has {len(row)} sequences, code 0 has {M}")
             for m, seq in enumerate(row):
+                if len(seq) != L:
+                    raise ConfigError(f"sequence ({k},{m}) has length {len(seq)}, sequence (0,0) has {L}")
                 for i, e in enumerate(seq):
                     if e is None:
                         mask[k, m, i] = False

@@ -11,6 +11,15 @@ small float magnitude proves nothing and a large one can still be misleading
 near the tolerance.  Float evaluation is provided as a prefilter/diagnostic
 only.
 
+The one exception is ``fft_gram_cells``, which zero-tests every cell of a
+code set at once.  It evaluates each cell's remainder modulo Phi_q at the
+primitive q-th roots through FFTs in float64 and rounds the remainder's
+integer coefficients.  That is exact because ``fft_gram_bound`` proves the
+error below 1/2 (FFT error after Percival, Math. Comp. 72 (2003) 387-395,
+times ||V^{-1}||_inf of the character Vandermonde); callers check the bound
+first and fall back to the integer shiftwise counts when it fails.  Its
+buffers fit one fixed budget, ``TILE_BYTES``.
+
 Shift conventions for tau >= 0: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau});
 for tau < 0 the conjugate-reversal symmetry Theta(a,b)(-tau) =
 conj(Theta(b,a)(tau)) is used instead of recomputing (conjugation in the
@@ -20,6 +29,7 @@ group ring is exponent negation).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -225,13 +235,7 @@ def accf_exact(a: RootSequence, b: RootSequence, tau: int) -> GroupRingElement:
     L = len(ea)
     if not -L < tau < L:
         raise ValueError(f"shift {tau} out of range for length {L}")
-    if tau >= 0:
-        d = (ea[: L - tau] - eb[tau:]) % qa
-        valid = ma[: L - tau] & mb[tau:]
-    else:
-        d = (ea[-tau:] - eb[: L + tau]) % qa
-        valid = ma[-tau:] & mb[: L + tau]
-    counts = np.bincount(d[valid], minlength=qa)
+    counts = _counts_at_shift(ea[None], ma[None], eb[None], mb[None], qa, tau)
     return GroupRingElement(qa, tuple(int(c) for c in counts))
 
 
@@ -249,28 +253,27 @@ def code_accf(row1, row2, tau: int) -> GroupRingElement:
 
 
 def _counts_at_shift(e1, m1, e2, m2, q, tau):
+    """(q,) int64 counts of one cell: rows (M, L) of two codes at one shift.
+
+    The per-cell exact counter every other path falls back on.  A mask of
+    None means every entry is defined.
+    """
     L = e1.shape[1]
-    if tau >= 0:
-        d = (e1[:, : L - tau] - e2[:, tau:]) % q
-        valid = m1[:, : L - tau] & m2[:, tau:]
-    else:
-        d = (e1[:, -tau:] - e2[:, : L + tau]) % q
-        valid = m1[:, -tau:] & m2[:, : L + tau]
-    return np.bincount(d[valid], minlength=q)
+    s1, s2 = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L), slice(0, L + tau))
+    d = (e1[:, s1] - e2[:, s2]) % q
+    valid = None
+    for mask, s in ((m1, s1), (m2, s2)):
+        if mask is not None:
+            valid = mask[:, s] if valid is None else valid & mask[:, s]
+    return np.bincount(d.ravel() if valid is None else d[valid], minlength=q)
 
 
 def pair_counts_nonneg_shifts(e1, m1, e2, m2, q) -> np.ndarray:
     """(L, q) int64 matrix of code-level counts for tau = 0 .. L-1."""
-    M, L = e1.shape
+    L = e1.shape[1]
     out = np.zeros((L, q), dtype=np.int64)
-    full = bool(m1.all() and m2.all())
     for tau in range(L):
-        d = (e1[:, : L - tau] - e2[:, tau:]) % q
-        if full:
-            out[tau] = np.bincount(d.ravel(), minlength=q)
-        else:
-            valid = m1[:, : L - tau] & m2[:, tau:]
-            out[tau] = np.bincount(d[valid], minlength=q)
+        out[tau] = _counts_at_shift(e1, m1, e2, m2, q, tau)
     return out
 
 
@@ -355,3 +358,214 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
     for tau in range(1, L):
         counts[L - 1 - tau] = rev[tau][neg_index]
     return CorrelationProfile(q, L, M, counts)
+
+
+# ---------------------------------------------------------------------------
+# fft-gram kernel: every cell of a code set, zero-tested through characters
+#
+# For a cell (a, b, tau) with counts c, let rho = c mod Phi_q (degree < phi(q),
+# the coefficients counts @ reduction_matrix(q) that zero_count_rows tests).
+# rho is an integer polynomial fixed by its values at the primitive q-th roots:
+# rho(zeta^j) = Theta_j(a, b)(tau), the correlation with every root raised to
+# the j-th power.  So rho = V^{-1} Theta_P with V the phi x phi Vandermonde at
+# the primitive roots, and since Theta_{q-j} = conj(Theta_j) only the units
+# j <= q/2 are evaluated.  Each Theta_j comes from the frequency-domain Gram
+# identity C(z) C^H(1/z): FFT every sequence, sum X_a conj(X_b) over the M
+# sequences at every bin, inverse FFT.  Rounding rho to integers is exact
+# while the a-priori error bound of ``fft_gram_bound`` stays below 1/2.
+
+TILE_BYTES = 3 << 18  # working set of one fft_gram_cells call (768 KiB), whatever the set size
+UNIT_ROUNDOFF = 2.0**-53
+ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, r < q
+
+
+def fft_length(L: int) -> int:
+    """Smallest power of two >= 2L - 1: circular correlation without wrap-around."""
+    return 1 << (2 * L - 2).bit_length()
+
+
+def _roots(q: int, j: int) -> np.ndarray:
+    return np.exp(2j * np.pi * ((j * np.arange(q)) % q) / q)
+
+
+@functools.lru_cache(maxsize=None)
+def character_basis(q: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """(js, W, w_norm, residual) for q >= 2.
+
+    js are the units j <= q/2; rho = Re(W @ Theta_js) with W (phi, len(js))
+    the matching columns of V^{-1}, doubled where q - j != j to stand for the
+    conjugate character.  The primitive roots are the roots of Phi_q, so
+    column i of V^{-1} holds the coefficients of the Lagrange polynomial
+    Phi_q(t) / ((t - x_i) Phi_q'(x_i)), found by synthetic division.
+    w_norm is the infinity norm of the inverse actually applied (W's columns
+    together with their conjugates) and residual bounds || W_full V - I ||_inf.
+    """
+    units = [j for j in range(1, q) if math.gcd(j, q) == 1]
+    phi = len(units)
+    c = cyclotomic(q)
+    powers = np.stack([_roots(q, j) for j in units], axis=1)  # powers[e, i] = x_i^e
+    x = powers[1]
+    inv = np.empty((phi, phi), complex)
+    inv[phi - 1] = c[phi]
+    for d in range(phi - 1, 0, -1):
+        inv[d - 1] = c[d] + x * inv[d]
+    inv /= sum(k * c[k] * powers[k - 1] for k in range(1, phi + 1))
+    col = {j: inv[:, i] for i, j in enumerate(units) if 2 * j <= q}
+    full = np.stack([col[j] if 2 * j <= q else np.conj(col[q - j]) for j in units], axis=1)
+    js = [j for j in units if 2 * j <= q]
+    W = np.stack([col[j] * (1 if 2 * j == q else 2) for j in js], axis=1)
+    V = powers[:phi].T  # V[i, d] = x_i^d
+    prod = (full[:, :, None] * V[None, :, :]).sum(axis=1)
+    gamma = (phi + 1) * UNIT_ROUNDOFF / (1 - (phi + 1) * UNIT_ROUNDOFF)
+    residual = float(np.abs(prod - np.eye(phi)).sum(axis=1).max())
+    residual += gamma * float((np.abs(full)[:, :, None] * np.abs(V)[None]).sum(axis=1).sum(axis=1).max())
+    W.setflags(write=False)
+    return np.array(js), W, float(np.abs(full).sum(axis=1).max()), residual
+
+
+def fft_gram_bound(M: int, L: int, q: int) -> float:
+    """A-priori bound on |rho_hat - rho| for every coefficient of every cell.
+
+    u = 2^-53, gamma_n = n u / (1 - n u), N = fft_length(L), P = M L.
+    * Transforms: Percival (Math. Comp. 72 (2003) 387-395) bounds the relative
+      2-norm error of a power-of-two FFT with twiddles accurate to mu by
+      s eta / (1 - s eta), eta = mu + gamma_4 (sqrt 2 + mu), s = log2 N.  We
+      take mu = 4u and s = 2 log2 N, a margin for mixed radix-2/4 passes.
+      With the root-table error e, a spectrum is off by at most
+      d1 sqrt(N L) in 2-norm, d1 = e + eta_F (1 + e).
+    * Gram and inverse transform: Cauchy-Schwarz over the N bins gives
+      |Theta_hat - Theta| <= P (2 d1 + d1^2 + g (1 + d1)^2)
+      + eta_F P sqrt(L) (1 + sqrt(N / L) d1) (1 + d1) (1 + g), g = sqrt 2 gamma_{M+2}.
+    * Characters to rho: times ||V^{-1}||_inf (<= 1.6 for q <= 60, 3.6 at
+      q = 210), plus the rounding of that product and the error of the
+      computed inverse applied to |rho| <= 2 P max|reduction_matrix(q)|.
+    A bound below 1/2 makes rounding rho exact; the caller checks it.
+    """
+    u = UNIT_ROUNDOFF
+
+    def gamma(n):
+        return n * u / (1 - n * u)
+
+    N = fft_length(L)
+    js, _, w_norm, residual = character_basis(q)
+    stages = 2 * max(N.bit_length() - 1, 1)
+    eta = 4 * u + gamma(4) * (math.sqrt(2) + 4 * u)
+    eta_f = stages * eta / (1 - stages * eta)
+    d1 = ROOT_ERROR + eta_f * (1 + ROOT_ERROR)
+    g = math.sqrt(2) * gamma(M + 2)
+    peak = M * L
+    theta_err = peak * (2 * d1 + d1 * d1 + g * (1 + d1) ** 2)
+    theta_err += eta_f * peak * math.sqrt(L) * (1 + math.sqrt(N / L) * d1) * (1 + d1) * (1 + g)
+    apply_err = math.sqrt(2) * gamma(2 * len(js) + 2) * w_norm * (2 * peak + theta_err)
+    inverse_err = residual * 2 * peak * int(np.abs(reduction_matrix(q)).max())
+    return w_norm * theta_err + apply_err + inverse_err
+
+
+def plan_tiles(K: int, M: int, L: int, q: int) -> tuple[int, int, int]:
+    """(k, mc, bytes): codes per tile side, sequences per FFT batch, working set.
+
+    A tile pairs k codes with k codes; its buffers are the two spectrum
+    batches (k, mc, N) with the root lookup that fills them, the Gram of
+    each of the h characters (h, k, k, N), one scratch (k, k, N) for a Gram
+    chunk or a rho row, and two flag arrays.  k grows first (each code's
+    spectra are recomputed once per tile it meets), then mc, while the total
+    stays within TILE_BYTES; k = mc = 1 is the floor.
+    """
+    N, h = fft_length(L), len(character_basis(q)[0])
+
+    def cost(k, mc):
+        return 16 * k * mc * (2 * N + L) + k * k * N * (16 * (h + 1) + 2)
+
+    k = 1
+    while k < K and cost(k + 1, 1) <= TILE_BYTES:
+        k += 1
+    mc = 1
+    while mc < M and cost(k, mc + 1) <= TILE_BYTES:
+        mc += 1
+    return k, mc, cost(k, mc)
+
+
+def _spectra(buf, exps, mask, roots, k0, kk, m0, mm, N):
+    """FFT (zero-padded to N) of the sequences exps[k0:k0+kk, m0:m0+mm] in buf."""
+    L = exps.shape[2]
+    x = buf[: kk * mm * N].reshape(kk, mm, N)
+    np.take(roots, exps[k0 : k0 + kk, m0 : m0 + mm], out=x[..., :L], mode="clip")
+    if mask is not None:
+        x[..., :L] *= mask[k0 : k0 + kk, m0 : m0 + mm]
+    x[..., L:] = 0
+    return np.fft.fft(x, axis=-1, out=x)
+
+
+def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int) -> tuple[int, np.ndarray]:
+    """Zero-test every cell of a (K, M, L) code set over Z_q, q >= 2.
+
+    A cell (a, b, tau), tau in [0, L), is nonzero when its counts, less M*L at
+    a == b, tau == 0, are not divisible by Phi_q.  Returns the number of
+    nonzero cells and the smallest ``limit`` of their keys (a K + b) L + tau,
+    sorted.  Exact only while fft_gram_bound(M, L, q) < 1/2.
+
+    Tiles of code pairs (a-block <= b-block) share preallocated buffers sized
+    by plan_tiles.  One inverse FFT per pair gives tau >= 0 of (a, b) at bins
+    N - tau and, through conjugation, tau >= 0 of (b, a) at bins tau.
+    """
+    K, M, L = exps.shape
+    N = fft_length(L)
+    js, W, _, _ = character_basis(q)
+    h, phi = len(js), W.shape[0]
+    k, mc, _ = plan_tiles(K, M, L, q)
+    spec_a = np.empty(k * mc * N, complex)
+    spec_b = np.empty(k * mc * N, complex)
+    theta = np.empty(h * k * k * N, complex)
+    scratch = np.empty(k * k * N, complex)  # a Gram chunk, later a rho row
+    flag = np.empty(k * k * N, bool)
+    bad = np.empty(k * k * N, bool)
+    roots = [_roots(q, j) for j in js]
+    peak = M * L
+    total, kept = 0, np.empty(0, np.int64)
+    for a0 in range(0, K, k):
+        for b0 in range(a0, K, k):
+            ka, kb = min(k, K - a0), min(k, K - b0)
+            cells = ka * kb * N
+            th = theta[: h * cells].reshape(h, ka, kb, N)
+            for i, r in enumerate(roots):
+                for m0 in range(0, M, mc):
+                    mm = min(mc, M - m0)
+                    xa = _spectra(spec_a, exps, mask, r, a0, ka, m0, mm, N)
+                    if b0 == a0:
+                        xb = np.conjugate(xa, out=spec_b[: xa.size].reshape(xa.shape))
+                    else:
+                        xb = _spectra(spec_b, exps, mask, r, b0, kb, m0, mm, N)
+                        np.conjugate(xb, out=xb)
+                    if m0 == 0:
+                        np.einsum("amf,bmf->abf", xa, xb, out=th[i])
+                    else:
+                        g = scratch[:cells].reshape(ka, kb, N)
+                        np.einsum("amf,bmf->abf", xa, xb, out=g)
+                        th[i] += g
+                np.fft.ifft(th[i], axis=-1, out=th[i])
+            if a0 == b0:
+                for a in range(ka):
+                    th[:, a, a, 0] -= peak
+            # rho = Re(W Theta); a cell is nonzero iff a coefficient rounds to nonzero
+            flat, z, f, nz = th.reshape(h, cells), scratch[:cells], flag[:cells], bad[:cells]
+            nz[:] = False
+            for d in range(phi):
+                np.dot(W[d], flat, out=z)
+                np.greater_equal(np.abs(z.real, out=z.imag), 0.5, out=f)  # z.imag is spare
+                nz |= f
+            idx = np.flatnonzero(nz)
+            if not idx.size:
+                continue
+            ai, rest = np.divmod(idx, kb * N)
+            bi, n = np.divmod(rest, N)
+            a, b = a0 + ai, b0 + bi
+            if ((n >= L) & (n <= N - L)).any():
+                raise ArithmeticError("fft-gram kernel: nonzero value beyond the correlation support")
+            upper = a <= b
+            fwd = upper & ((n == 0) | (n > N - L))  # (a, b) at tau = -n mod N
+            rev = upper & (n < L) & (a != b)  # (b, a) at tau = n
+            keys = np.concatenate([(a[fwd] * K + b[fwd]) * L + (-n[fwd]) % N,
+                                   (b[rev] * K + a[rev]) * L + n[rev]])
+            total += keys.size
+            kept = np.sort(np.concatenate([kept, keys]))[:limit]
+    return total, kept

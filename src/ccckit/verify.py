@@ -6,6 +6,15 @@ cyclotomic reduction; there are no false positives or negatives.  Float mode
 uses a magnitude threshold and is advisory only -- for composite alphabets a
 tiny float magnitude is expected for true zeros but can never certify one.
 
+Exact mode runs the fft-gram kernel (``exact_corr.fft_gram_cells``): it
+computes every cell's remainder modulo Phi_q from the primitive characters in
+float64 and rounds it, which is exact because the proven error bound
+``fft_gram_bound`` is checked to be below 1/2 before the kernel runs.  The
+kernel's memory is one fixed budget (``exact_corr.TILE_BYTES``), whatever the
+set size.  Every violation it reports is recounted with integer arithmetic.
+When the bound fails, or q = 1, the shiftwise loop (one integer bincount per
+pair and shift) runs instead; it is also the kernel's test oracle.
+
 ``necessity_probe`` drives the converse direction: specs whose chain tables
 were deliberately corrupted must fail, and for uniform-domain specs with a
 constant chain table the failure provably localizes at the witness shifts
@@ -22,7 +31,10 @@ import numpy as np
 from .construct import CodeSet, ConstructionSpec, build_code_set
 from .exact_corr import (
     GroupRingElement,
+    _counts_at_shift,
     counts_to_complex,
+    fft_gram_bound,
+    fft_gram_cells,
     pair_counts_nonneg_shifts,
     zero_count_rows,
 )
@@ -54,6 +66,8 @@ class VerifyReport:
     shifts_tested: int
     violations: tuple = ()
     total_violations: int = 0
+    kernel: str = "shiftwise"  # "fft-gram" or "shiftwise"
+    rounding_bound: float = 0.0  # proven |error| of the fft-gram kernel; 0 when integer-exact
 
     def summary(self) -> str:
         verdict = "CCC" if self.is_ccc else f"NOT a CCC ({self.total_violations} violating cells)"
@@ -73,6 +87,8 @@ class VerifyReport:
             "q": self.q,
             "shifts_tested": self.shifts_tested,
             "total_violations": self.total_violations,
+            "kernel": self.kernel,
+            "rounding_bound": self.rounding_bound,
             "violations": [
                 {"k1": v.k1, "k2": v.k2, "tau": v.tau, "counts": list(v.element.counts)}
                 for v in self.violations
@@ -81,9 +97,13 @@ class VerifyReport:
 
 
 def _row_arrays(C: CodeSet, k: int):
-    exps = C.exps[k]
-    mask = np.ones(exps.shape, dtype=bool) if C.mask is None else C.mask[k]
-    return exps, mask
+    return C.exps[k], None if C.mask is None else C.mask[k]
+
+
+def _cell_counts(C: CodeSet, a: int, b: int, tau: int) -> np.ndarray:
+    e1, m1 = _row_arrays(C, a)
+    e2, m2 = _row_arrays(C, b)
+    return _counts_at_shift(e1, m1, e2, m2, C.q, tau)
 
 
 def _pair_counts(C: CodeSet, k1: int, k2: int) -> np.ndarray:
@@ -98,10 +118,59 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
     All ordered pairs are scanned at shifts 0..L-1; negative shifts are
     covered by the conjugate-reversal symmetry, which maps them onto the
     reversed pair's positive shifts.  Requirements: same-code shift 0 equals
-    exactly M*L, everything else is zero.
+    exactly M*L, everything else is zero.  Exact mode uses the fft-gram
+    kernel while its rounding bound is below 1/2 (see the module docstring).
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_violations < 0:
+        raise ValueError(f"max_violations must be >= 0, got {max_violations}")
+    K, M, L, q = C.K, C.M, C.L, C.q
+    if not (K and M and L):
+        raise ValueError(f"cannot verify an empty code set (K={K}, M={M}, L={L})")
+    bound = fft_gram_bound(M, L, q) if mode == "exact" and q > 1 else 1.0
+    if bound < 0.5:
+        total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations)
+        bad_cells = []
+        for key in keys.tolist():
+            ab, tau = divmod(key, L)
+            a, b = divmod(ab, K)
+            counts = _cell_counts(C, a, b, tau)
+            target = counts.copy()
+            if a == b and tau == 0:
+                target[0] -= M * L
+            if zero_count_rows(target[None, :], q)[0]:
+                raise ArithmeticError(f"fft-gram kernel flagged cell ({a},{b},{tau}), which recounts to zero")
+            bad_cells.append((a, b, tau, counts))
+        return _report(C, mode, bad_cells, total, K * K * L, "fft-gram", bound)
+    bad_cells, shifts = _shiftwise_cells(C, mode)
+    bad_cells.sort(key=lambda cell: cell[:3])
+    return _report(C, mode, bad_cells[:max_violations], len(bad_cells), shifts, "shiftwise", 0.0)
+
+
+def _report(C: CodeSet, mode, cells, total, shifts, kernel, bound) -> VerifyReport:
+    violations = tuple(
+        Violation(a, b, tau, GroupRingElement(C.q, tuple(int(c) for c in row)))
+        for a, b, tau, row in cells
+    )
+    return VerifyReport(
+        is_ccc=not total,
+        peak=C.M * C.L,
+        mode=mode,
+        K=C.K,
+        M=C.M,
+        L=C.L,
+        q=C.q,
+        shifts_tested=shifts,
+        violations=violations,
+        total_violations=total,
+        kernel=kernel,
+        rounding_bound=bound,
+    )
+
+
+def _shiftwise_cells(C: CodeSet, mode: str) -> tuple[list, int]:
+    """(bad cells (a, b, tau, counts), cells tested): one bincount per pair and shift."""
     K, M, L, q = C.K, C.M, C.L, C.q
     peak = M * L
     bad_cells: list[tuple[int, int, int, np.ndarray]] = []
@@ -122,23 +191,7 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
                     ok = mags < FLOAT_ZERO_FACTOR * peak
                 for tau in np.flatnonzero(~ok):
                     bad_cells.append((a, b, int(tau), counts[tau]))
-    bad_cells.sort(key=lambda cell: cell[:3])
-    violations = tuple(
-        Violation(a, b, tau, GroupRingElement(q, tuple(int(c) for c in row)))
-        for a, b, tau, row in bad_cells[:max_violations]
-    )
-    return VerifyReport(
-        is_ccc=not bad_cells,
-        peak=peak,
-        mode=mode,
-        K=K,
-        M=M,
-        L=L,
-        q=q,
-        shifts_tested=shifts,
-        violations=violations,
-        total_violations=len(bad_cells),
-    )
+    return bad_cells, shifts
 
 
 def verify_ccc_sampled(C: CodeSet, cells: int, seed: int = 0) -> VerifyReport:
@@ -154,11 +207,7 @@ def verify_ccc_sampled(C: CodeSet, cells: int, seed: int = 0) -> VerifyReport:
 
     def check(a: int, b: int, tau: int):
         nonlocal tested
-        e1, m1 = _row_arrays(C, a)
-        e2, m2 = _row_arrays(C, b)
-        d = (e1[:, : L - tau] - e2[:, tau:]) % q
-        valid = m1[:, : L - tau] & m2[:, tau:]
-        counts = np.bincount(d[valid], minlength=q).astype(np.int64)
+        counts = _cell_counts(C, a, b, tau)
         target = counts.copy()
         if a == b and tau == 0:
             target[0] -= peak
@@ -175,22 +224,7 @@ def verify_ccc_sampled(C: CodeSet, cells: int, seed: int = 0) -> VerifyReport:
             tau = rng.randrange(1, L)
         check(a, b, tau)
     bad.sort(key=lambda cell: cell[:3])
-    violations = tuple(
-        Violation(a, b, tau, GroupRingElement(q, tuple(int(c) for c in row)))
-        for a, b, tau, row in bad[:16]
-    )
-    return VerifyReport(
-        is_ccc=not bad,
-        peak=peak,
-        mode="exact-sampled",
-        K=K,
-        M=M,
-        L=L,
-        q=q,
-        shifts_tested=tested,
-        violations=violations,
-        total_violations=len(bad),
-    )
+    return _report(C, "exact-sampled", bad[:16], len(bad), tested, "shiftwise", 0.0)
 
 
 def gram_check_float(C: CodeSet, tol_factor: float = 1e-9) -> tuple[bool, float]:
@@ -282,11 +316,7 @@ def necessity_probe(cs: ConstructionSpec, full_scan_fallback: bool = True) -> Pr
     for tau in taus:
         for k1 in range(C.K):
             for k2 in range(C.K):
-                e1, m1 = _row_arrays(C, k1)
-                e2, m2 = _row_arrays(C, k2)
-                d = (e1[:, : C.L - tau] - e2[:, tau:]) % q
-                valid = m1[:, : C.L - tau] & m2[:, tau:]
-                counts = np.bincount(d[valid], minlength=q).astype(np.int64)
+                counts = _cell_counts(C, k1, k2, tau)
                 if not zero_count_rows(counts[None, :], q)[0]:
                     return ProbeResult(
                         found=True,

@@ -48,6 +48,35 @@ def test_verify_json_report(tmp_path, capsys):
     assert report["violations"] == []
 
 
+def test_verify_json_reports_kernel(tmp_path, capsys):
+    cfg = write(tmp_path / "cfg.json", {"kind": "theorem1", "q": 6, "m": 2, "seed": 4})
+    out = tmp_path / "codes.json"
+    main(["build", cfg, "--out", str(out)])
+    capsys.readouterr()
+    assert main(["verify", str(out), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kernel"] == "fft-gram"
+    assert 0 < report["rounding_bound"] < 0.5
+    assert main(["verify", str(out), "--mode", "float", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["kernel"], report["rounding_bound"]) == ("shiftwise", 0.0)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"q": 2, "codes": [[[0, 1], [0]]]},  # ragged
+        {"q": 2, "codes": []},  # empty
+        {"q": 2, "codes": [[[0, 1]], [[0, 1], [1, 0]]]},  # codes with different M
+    ],
+    ids=["ragged", "empty", "m_mismatch"],
+)
+def test_verify_malformed_code_set_exits_2(tmp_path, capsys, payload):
+    path = write(tmp_path / "bad.json", payload)
+    assert main(["verify", path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_build_determinism(tmp_path):
     cfg = write(tmp_path / "cfg.json", {"kind": "theorem1", "q": 5, "m": 2, "seed": 9})
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -247,3 +247,20 @@ def test_codeset_from_json_consistency_check():
     data["K"] = 13
     with pytest.raises(ValueError):
         CodeSet.from_json(data)
+
+
+MALFORMED_CODE_SETS = {
+    "ragged": {"q": 2, "codes": [[[0, 1], [0]]]},
+    "empty": {"q": 2, "codes": []},
+    "m_mismatch": {"q": 2, "codes": [[[0, 1]], [[0, 1], [1, 0]]]},
+    "no_sequences": {"q": 2, "codes": [[]]},
+    "empty_sequence": {"q": 2, "codes": [[[]]]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_CODE_SETS))
+def test_codeset_from_json_rejects_non_rectangular_sets(name):
+    from ccckit.construct import ConfigError
+
+    with pytest.raises(ConfigError):
+        CodeSet.from_json(MALFORMED_CODE_SETS[name])

@@ -1,0 +1,239 @@
+"""The fft-gram verify kernel against the shiftwise reference loop.
+
+Every comparison uses a large ``max_violations`` so the full ordered list of
+violating cells, with their exact counts, must agree.
+"""
+
+import numpy as np
+import pytest
+
+import ccckit as ck
+from ccckit import exact_corr, verify
+from ccckit.cli import spec_from_config
+
+
+def blocks(*pairs):
+    return [{"p": p, "m": m} for p, m in pairs]
+
+
+def shiftwise(C, max_violations=10**6):
+    cells, shifts = verify._shiftwise_cells(C, "exact")
+    cells.sort(key=lambda cell: cell[:3])
+    return verify._report(C, "exact", cells[:max_violations], len(cells), shifts, "shiftwise", 0.0)
+
+
+def cells_of(report):
+    return [(v.k1, v.k2, v.tau, v.element.counts) for v in report.violations]
+
+
+def assert_same_as_shiftwise(C, expect_kernel="fft-gram"):
+    got = ck.verify_ccc(C, max_violations=10**6)
+    ref = shiftwise(C)
+    assert got.kernel == expect_kernel
+    assert (got.is_ccc, got.total_violations, got.shifts_tested) == (
+        ref.is_ccc,
+        ref.total_violations,
+        ref.shifts_tested,
+    )
+    assert cells_of(got) == cells_of(ref)
+    return got
+
+
+def with_holes(C, seed, frac=0.1):
+    rng = np.random.default_rng(seed)
+    mask = rng.random(C.exps.shape) >= frac
+    return ck.CodeSet(C.q, C.exps, mask)
+
+
+def with_flips(C, seed, count=3):
+    rng = np.random.default_rng(seed)
+    exps = C.exps.copy()
+    for _ in range(count):
+        k, m, t = (int(rng.integers(n)) for n in exps.shape)
+        exps[k, m, t] = (exps[k, m, t] + 1 + rng.integers(C.q - 1)) % C.q
+    return ck.CodeSet(C.q, exps)
+
+
+FAMILY_CONFIGS = [
+    {"kind": "theorem1", "q": 2, "m": 3},
+    {"kind": "theorem1", "q": 3, "m": 2},
+    {"kind": "theorem1", "q": 4, "m": 2},
+    {"kind": "theorem1", "q": 5, "m": 2},
+    {"kind": "theorem1", "q": 6, "m": 2},
+    {"kind": "corollary1", "q": 2, "m": 4, "n": 1},
+    {"kind": "corollary1", "q": 3, "m": 3, "n": 1},
+    {"kind": "theorem2", "blocks": blocks((2, 2), (3, 2))},
+    {"kind": "theorem2", "blocks": blocks((2, 2), (5, 2))},
+    {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0]},
+    {"kind": "corollary3", "blocks": blocks((3, 2), (5, 1)), "n": [0, 0]},
+]
+
+
+def config_id(cfg):
+    if "q" in cfg:
+        return f"{cfg['kind']}-q{cfg['q']}-m{cfg['m']}"
+    return cfg["kind"] + "-" + "x".join(f"{b['p']}^{b['m']}" for b in cfg["blocks"])
+
+
+@pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=config_id)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_families_match_shiftwise(cfg, seed):
+    C = ck.build_code_set(spec_from_config(dict(cfg, seed=seed)))
+    assert assert_same_as_shiftwise(C).is_ccc
+    assert not assert_same_as_shiftwise(with_flips(C, seed)).is_ccc
+
+
+def test_q30_family_matches_shiftwise():
+    cfg = {"kind": "corollary3", "blocks": blocks((2, 2), (3, 1), (5, 1)), "n": [0, 0, 0], "seed": 4}
+    C = ck.build_code_set(spec_from_config(cfg))
+    assert C.q == 30
+    assert assert_same_as_shiftwise(C).is_ccc
+
+
+def test_kronecker_products_match_shiftwise():
+    def build(q, seed):
+        return ck.build_code_set(spec_from_config({"kind": "theorem1", "q": q, "m": 2, "seed": seed}))
+
+    for a, b, q in [(build(2, 5), build(5, 6), 10), (build(4, 7), build(3, 8), 12)]:
+        ab = ck.kronecker_compose(a, b)
+        assert ab.q == q
+        assert assert_same_as_shiftwise(ab).is_ccc
+        assert not assert_same_as_shiftwise(with_flips(ab, q)).is_ccc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 10, 12, 15, 30])
+def test_random_sets_match_shiftwise(q):
+    rng = np.random.default_rng(q)
+    for shape in [(3, 2, 7), (1, 3, 5), (4, 2, 1), (1, 1, 1), (2, 1, 16)]:
+        C = ck.CodeSet(q, rng.integers(0, q, size=shape))
+        assert_same_as_shiftwise(C)
+        assert_same_as_shiftwise(with_holes(C, q, frac=0.3))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"kind": "theorem1", "q": 6, "m": 2},
+        {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0]},
+    ],
+)
+def test_masked_sets_match_shiftwise(cfg):
+    C = ck.build_code_set(spec_from_config(dict(cfg, seed=3)))
+    assert not assert_same_as_shiftwise(with_holes(C, 3, frac=0.02)).is_ccc
+
+
+def test_corrupted_specs_with_hundreds_of_violations():
+    cfgs = [
+        {"kind": "theorem1", "q": 6, "m": 2, "seed": 1,
+         "corrupt": {"block": 0, "chain": 0, "which": "f", "table": [0, 0, 1, 1, 2, 2]}},
+        {"kind": "corollary1", "q": 3, "m": 4, "n": 1, "seed": 2,
+         "corrupt": {"block": 0, "chain": 0, "which": "fp", "constant": 1}},
+        {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0], "seed": 3,
+         "corrupt": {"block": 1, "chain": 0, "which": "f", "table": [0, 0, 0, 1, 1, 1]}},
+    ]
+    most = 0
+    for cfg in cfgs:
+        C = ck.build_code_set(spec_from_config(cfg))
+        most = max(most, assert_same_as_shiftwise(C).total_violations)
+    assert most >= 100
+
+
+def test_k1_and_l1_sets():
+    assert_same_as_shiftwise(ck.CodeSet(2, np.zeros((1, 1, 1), dtype=np.int64)))  # the (1,1) CCC
+    assert_same_as_shiftwise(ck.CodeSet(6, np.array([[[0, 1, 4, 2, 5]]])))
+    assert_same_as_shiftwise(ck.CodeSet(6, np.array([[[0], [3]], [[2], [5]]])))
+
+
+def test_trivial_set_uses_shiftwise():
+    report = assert_same_as_shiftwise(ck.trivial_code_set(), expect_kernel="shiftwise")
+    assert report.is_ccc and report.rounding_bound == 0.0
+
+
+def test_small_tiles_cover_every_cell(monkeypatch):
+    """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
+    monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
+    assert exact_corr.plan_tiles(7, 5, 12, 30)[:2] == (1, 1)
+    monkeypatch.setattr(exact_corr, "TILE_BYTES", 40_000)
+    k, mc, _ = exact_corr.plan_tiles(7, 5, 12, 6)
+    assert 1 < k < 7 and 7 % k and 1 < mc < 5
+    rng = np.random.default_rng(11)
+    for q in (6, 30):
+        C = ck.CodeSet(q, rng.integers(0, q, size=(7, 5, 12)))
+        assert_same_as_shiftwise(C)
+        assert_same_as_shiftwise(with_holes(C, q))
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 2}))
+    assert assert_same_as_shiftwise(C).is_ccc
+    assert not assert_same_as_shiftwise(with_flips(C, 2)).is_ccc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 10, 12, 15, 30, 60])
+def test_character_basis_recovers_the_remainder(q):
+    """Re(W Theta_js) equals counts @ reduction_matrix(q): the identity the kernel uses."""
+    js, W, _, _ = exact_corr.character_basis(q)
+    rng = np.random.default_rng(q)
+    counts = rng.integers(-50, 50, size=(20, q))
+    theta = np.stack([counts @ exact_corr._roots(q, j) for j in js])
+    rho = (W @ theta).real.T
+    expect = counts @ exact_corr.reduction_matrix(q)
+    assert np.abs(rho - expect).max() < 1e-9
+
+
+def test_bound_below_half_on_benchmark_sets():
+    sizes = [(6, 1296, 6), (8, 1024, 2), (30, 180, 30), (12, 72, 6), (6, 72, 6), (9, 243, 3),
+             (81, 2187, 3), (72, 432, 6), (60, 1800, 30), (36, 432, 6), (216, 2592, 6),
+             (128, 16384, 2), (5, 25, 5)]
+    for M, L, q in sizes:
+        assert exact_corr.fft_gram_bound(M, L, q) < 0.5, (M, L, q)
+    assert exact_corr.character_basis(60)[2] <= 1.6
+    assert exact_corr.character_basis(210)[2] <= 3.7
+
+
+def test_bound_fails_for_huge_sets():
+    assert exact_corr.fft_gram_bound(2**20, 2**30, 6) >= 0.5
+    assert exact_corr.fft_gram_bound(2**30, 2**30, 30) >= 0.5
+
+
+def test_failed_bound_falls_back_to_shiftwise(monkeypatch):
+    C = with_flips(ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 1})), 1)
+    fast = ck.verify_ccc(C, max_violations=10**6)
+    monkeypatch.setattr(verify, "fft_gram_bound", lambda M, L, q: 0.5)
+    slow = ck.verify_ccc(C, max_violations=10**6)
+    assert (fast.kernel, slow.kernel) == ("fft-gram", "shiftwise")
+    assert slow.rounding_bound == 0.0
+    assert (slow.is_ccc, slow.total_violations, cells_of(slow)) == (
+        fast.is_ccc,
+        fast.total_violations,
+        cells_of(fast),
+    )
+
+
+def test_kernel_disagreeing_with_recount_raises(monkeypatch):
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 1}))
+    monkeypatch.setattr(verify, "fft_gram_cells", lambda *a: (1, np.array([5], dtype=np.int64)))
+    with pytest.raises(ArithmeticError):
+        ck.verify_ccc(C)
+
+
+def test_tile_plan_stays_within_budget():
+    for K, M, L, q in [(216, 216, 2592, 6), (60, 60, 1800, 30), (30, 30, 180, 30), (6, 6, 1296, 6)]:
+        k, mc, nbytes = exact_corr.plan_tiles(K, M, L, q)
+        assert 1 <= k <= K and 1 <= mc <= M
+        assert nbytes <= exact_corr.TILE_BYTES
+
+
+def test_max_violations_caps_the_sorted_list():
+    C = with_flips(ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 1})), 1)
+    full = ck.verify_ccc(C, max_violations=10**6)
+    for cap in (0, 1, 5):
+        capped = ck.verify_ccc(C, max_violations=cap)
+        assert cells_of(capped) == cells_of(full)[:cap]
+        assert capped.total_violations == full.total_violations
+    with pytest.raises(ValueError):
+        ck.verify_ccc(C, max_violations=-1)
+
+
+def test_empty_set_is_refused():
+    with pytest.raises(ValueError):
+        ck.verify_ccc(ck.CodeSet(2, np.zeros((0, 0, 0), dtype=np.int64)))
+    with pytest.raises(ValueError):
+        ck.verify_ccc(ck.CodeSet(2, np.zeros((2, 2, 0), dtype=np.int64)))
