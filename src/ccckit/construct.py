@@ -21,7 +21,9 @@ is never ambiguous.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 from dataclasses import dataclass, replace
 from math import gcd, prod
 
@@ -47,12 +49,56 @@ class ConfigError(ValueError):
     """A build config or serialized code set is malformed."""
 
 
+def exps_dtype(q: int) -> np.dtype:
+    """Storage dtype of exponents mod q: the smallest unsigned one holding q values.
+
+    uint8 for q <= 256, uint16 for q <= 65536, int64 beyond.  Arithmetic on
+    stored exponents must widen first: under NEP 50, uint8 * int stays uint8
+    and wraps.
+    """
+    for dt in (np.uint8, np.uint16):
+        if q <= np.iinfo(dt).max + 1:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
+def _check_alloc(nbytes: int, what: str) -> None:
+    """Refuse, before numpy allocates anything, a size beyond physical memory.
+
+    Where physical memory cannot be read (no ``os.sysconf`` or no
+    SC_PHYS_PAGES), nothing is refused.
+    """
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    if limit > 0 and nbytes > limit:
+        raise ConfigError(
+            f"{what} needs about 2^{nbytes.bit_length() - 1} bytes, "
+            f"more than the {limit >> 20} MiB of physical memory"
+        )
+
+
+def _tensor_bytes(entries: int, q: int, work: np.dtype) -> int:
+    """Peak bytes of a tensor computed in ``work`` and stored in ``exps_dtype(q)``.
+
+    When the two dtypes differ, CodeSet keeps a converted copy next to the
+    working tensor until the latter is freed.
+    """
+    store = exps_dtype(q)
+    return entries * (work.itemsize + (store.itemsize if store != work else 0))
+
+
+_canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class CodeSet:
     """K codes of M sequences, length L, exponents mod q.
 
-    exps has shape (K, M, L); mask is None for all-defined sequences or a
-    boolean array of the same shape (False marks a literal zero entry).
+    exps has shape (K, M, L), stored read-only in ``exps_dtype(q)``; mask is
+    None for all-defined sequences or a boolean array of the same shape
+    (False marks a literal zero entry).
     """
 
     q: int
@@ -61,11 +107,14 @@ class CodeSet:
     meta: dict | None = None
 
     def __post_init__(self):
-        exps = np.asarray(self.exps, dtype=np.int64)
+        exps = np.asarray(self.exps)
+        if exps.dtype.kind not in "iu":
+            exps = exps.astype(np.int64)
         if exps.ndim != 3:
             raise ValueError("exps must have shape (K, M, L)")
         if exps.size and (exps.min() < 0 or exps.max() >= self.q):
             raise ValueError(f"exponents must lie in [0, {self.q})")
+        exps = exps.astype(exps_dtype(self.q), copy=False)
         exps.setflags(write=False)
         object.__setattr__(self, "exps", exps)
         if self.mask is not None:
@@ -105,60 +154,106 @@ class CodeSet:
         """Equality of the code arrays (metadata ignored, holes compare as holes)."""
         if not isinstance(other, CodeSet):
             return False
-        if (self.q, self.K, self.M, self.L) != (other.q, other.K, other.M, other.L):
+        if (self.q, self.exps.shape) != (other.q, other.exps.shape):
             return False
-        a = np.ones(self.exps.shape, bool) if self.mask is None else self.mask
-        b = np.ones(other.exps.shape, bool) if other.mask is None else other.mask
-        if not np.array_equal(a, b):
+        if self.mask is None or other.mask is None:  # an all-true mask is stored as None
+            return self.mask is other.mask and bool(np.array_equal(self.exps, other.exps))
+        if not np.array_equal(self.mask, other.mask):
             return False
-        return bool(np.array_equal(self.exps[a], other.exps[b]))
+        return bool(np.array_equal(np.where(self.mask, self.exps, 0), np.where(other.mask, other.exps, 0)))
 
     def to_json(self) -> dict:
-        codes = []
-        for k in range(self.K):
-            row = []
-            for m in range(self.M):
-                if self.mask is None:
-                    row.append([int(e) for e in self.exps[k, m]])
-                else:
-                    row.append(
-                        [
-                            int(e) if self.mask[k, m, i] else None
-                            for i, e in enumerate(self.exps[k, m])
-                        ]
-                    )
-            codes.append(row)
+        if self.mask is None:
+            codes = self.exps.tolist()
+        else:
+            codes = self.exps.astype(object)
+            codes[~self.mask] = None
+            codes = codes.tolist()
         return {"q": self.q, "L": self.L, "K": self.K, "M": self.M, "meta": self.meta, "codes": codes}
 
     @staticmethod
     def from_json(data: dict) -> "CodeSet":
-        codes = data["codes"]
+        """Load a serialized set: rectangular, K, M, L >= 1, integer exponents in [0, q) or null.
+
+        Anything else raises ConfigError.  The types are checked before numpy
+        sees the lists, because numpy casts 0.5, true and "1" to integers.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError(f"a code set is a JSON object, got {type(data).__name__}")
+        q, codes, meta = data.get("q"), data.get("codes"), data.get("meta") or {}
+        if type(q) is not int or q < 1:
+            raise ConfigError(f"q must be a positive integer, got {q!r}")
+        if not isinstance(meta, dict):
+            raise ConfigError("meta must be a JSON object")
+        if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
+            raise ConfigError("codes must be a list of codes, each a list of sequences")
         K = len(codes)
         M = len(codes[0]) if K else 0
-        L = len(codes[0][0]) if M else 0
+        L = len(codes[0][0]) if M and isinstance(codes[0][0], list) else 0
         if not (K and M and L):
             raise ConfigError(f"code set must be non-empty, got K={K}, M={M}, L={L}")
-        exps = np.zeros((K, M, L), dtype=np.int64)
-        mask = np.ones((K, M, L), dtype=bool)
+        types = set()
         for k, row in enumerate(codes):
             if len(row) != M:
                 raise ConfigError(f"code {k} has {len(row)} sequences, code 0 has {M}")
             for m, seq in enumerate(row):
+                if not isinstance(seq, list):
+                    raise ConfigError(f"sequence ({k},{m}) is not a list")
                 if len(seq) != L:
                     raise ConfigError(f"sequence ({k},{m}) has length {len(seq)}, sequence (0,0) has {L}")
-                for i, e in enumerate(seq):
-                    if e is None:
-                        mask[k, m, i] = False
-                    else:
-                        exps[k, m, i] = int(e)
-        cs = CodeSet(int(data["q"]), exps, mask if not mask.all() else None, data.get("meta") or {})
-        for name in ("L", "K", "M"):
-            if name in data and int(data[name]) != getattr(cs, name):
-                raise ValueError(f"inconsistent {name} in serialized code set")
-        return cs
+                types.update(map(type, seq))
+        if types - {int, type(None)}:
+            found = ", ".join(sorted(t.__name__ for t in types - {int, type(None)}))
+            raise ConfigError(f"exponents must be integers or null, found {found}")
+        for name, size in (("L", L), ("K", K), ("M", M)):
+            if name in data and (type(data[name]) is not int or data[name] != size):
+                raise ConfigError(f"inconsistent {name} in serialized code set")
+        holes = type(None) in types
+        try:
+            exps = np.array(codes, dtype=object if holes else exps_dtype(q))
+            mask = np.not_equal(exps, None) if holes else None
+            if holes:
+                exps[~mask] = 0
+            return CodeSet(q, exps, mask, meta)
+        except (OverflowError, ValueError):  # beyond the storage dtype, or outside [0, q)
+            raise ConfigError(f"exponents must lie in [0, {q})") from None
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+        """Canonical JSON: ``json.dumps(to_json(), sort_keys=True, separators=(",", ":"))`` plus a newline.
+
+        The codes are written from the array through a table of tokens: id v is
+        the text of value v then ",", id v + n the same then "]" (a sequence's
+        last entry), and two more ids open the first and a later sequence of a
+        code.  Table rows are NUL-padded to one width; the padding is dropped.
+        Each code's text is decoded on its own and all parts are joined once,
+        which keeps peak memory near two copies of the payload.
+        """
+        K, M, L = self.exps.shape
+        parts = [f'{{"K":{K},"L":{L},"M":{M},"codes":']
+        if not self.exps.size:
+            parts.append(_canonical(self.exps.tolist()))
+        else:
+            if self.exps.dtype == np.int64:  # q > 65536: tokens for the values present only
+                values, ids = np.unique(self.exps, return_inverse=True)
+                ids = ids.reshape(self.exps.shape)
+            else:
+                values, ids = range(self.q), self.exps
+            tokens = [str(v) for v in values] + ([] if self.mask is None else ["null"])
+            n = len(tokens)
+            table = np.array([t + "," for t in tokens] + [t + "]" for t in tokens] + ["[[", ",["], "S")
+            row = np.empty((M, L + 1), dtype=np.intp)
+            row[:, 0] = 2 * n + 1
+            row[0, 0] = 2 * n
+            parts.append("[")
+            for k in range(K):
+                row[:, 1:] = ids[k]
+                if self.mask is not None:  # set in intp: n - 1 = q does not fit the storage dtype
+                    row[:, 1:][~self.mask[k]] = n - 1
+                row[:, -1] += n
+                parts += [table[row].tobytes().replace(b"\0", b"").decode(), "],"]
+            parts[-1] = "]]"
+        parts.append(f',"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n')
+        return "".join(parts)
 
 
 def trivial_code_set() -> CodeSet:
@@ -331,27 +426,30 @@ def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, repla
 # code-set assembly
 
 
-def _uniform_digits(value: int, q: int, width: int) -> tuple[int, ...]:
-    """Base-q digits, most significant first: value = sum digits[i] q^{width-1-i}."""
-    return tuple((value // q ** (width - 1 - i)) % q for i in range(width))
-
-
-def _mixed_digits(value: int, spec: GeneralizedQuadraticSpec) -> tuple[tuple[int, ...], ...]:
-    """Per-block digit tuples, block 1 fastest, least significant digit first."""
-    out = []
-    for (p, _), ni in zip(spec.domain.blocks, spec.n):
-        width = ni + 1
-        local = value % p**width
-        value //= p**width
-        out.append(tuple((local // p**v) % p for v in range(width)))
-    return tuple(out)
-
-
 def set_size(cs: ConstructionSpec) -> int:
     if cs.kind == UNIFORM:
         q = cs.func.domain.q
         return q ** (cs.func.n[0] + 1)
     return prod(p ** (ni + 1) for (p, _), ni in zip(cs.func.domain.blocks, cs.func.n))
+
+
+def seed_digits(cs: ConstructionSpec) -> list[np.ndarray]:
+    """Per block, the (K, n_i + 1) seed digits of the indices 0..K-1.
+
+    Columns 0..n_i-1 pair with the restricted positions J[i]; the last column
+    weights the chain slots.  Uniform: base-q digits, most significant first.
+    Mixed: per block (block 1 fastest), base-p_i digits least significant first.
+    """
+    func = cs.func
+    idx = np.arange(set_size(cs), dtype=np.int64)
+    if cs.kind == UNIFORM:
+        q, n = func.domain.q, func.n[0]
+        return [np.stack([(idx // q ** (n - v)) % q for v in range(n + 1)], axis=1)]
+    out = []
+    for (p, _), ni in zip(func.domain.blocks, func.n):
+        local, idx = idx % p ** (ni + 1), idx // p ** (ni + 1)
+        out.append(np.stack([(local // p**v) % p for v in range(ni + 1)], axis=1))
+    return out
 
 
 def build_code_set(cs: ConstructionSpec) -> CodeSet:
@@ -361,52 +459,40 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     Entry (t, d) is the exponent table of the base function plus the seed
     terms: per block, weight q/p_i times [(d_v + t_v) on the restricted
     positions, d_last on the first chain slot, t_last on the last chain slot].
+    The terms split into T[t] (base, t's part) and D[d] (d's part), so the
+    tensor is one broadcast (T[:, None] + D[None]) mod q.
     """
     func = cs.func
     if not func.corrupted:
         func.validate_chains()
     d = func.domain
-    q = d.q
-    base = build_from_spec(func)
+    q, L, K = d.q, d.L, set_size(cs)
+    work = exps_dtype(2 * q - 1)  # holds T + D <= 2q - 2
+    _check_alloc(_tensor_bytes(K * K * L, q, work) + 8 * L * (d.m + 2 * K), f"a ({K}, {L}) code set over Z_{q}")
     digits = digit_matrix(d)
-    K = set_size(cs)
-    flat_J = func.flat_J
 
-    # restriction classes (index arrays) and the pi columns they use
-    classes = []
+    # per block, the digit at the first and the last chain slot of every point
+    first = np.empty((d.k, L), dtype=np.int64)
+    last = np.empty((d.k, L), dtype=np.int64)
+    flat_J = func.flat_J
     for c in restriction_values(d, flat_J):
         cidx = restriction_index(d, flat_J, c)
-        mask = np.ones(d.L, dtype=bool)
-        for j, cj in zip(flat_J, c):
-            mask &= digits[:, j] == cj
-        pis = [func.pi_for(i, cidx) for i in range(d.k)]
-        classes.append((np.flatnonzero(mask), pis))
+        idx = np.flatnonzero((digits[:, list(flat_J)] == c).all(axis=1))
+        for i in range(d.k):
+            pi = func.pi_for(i, cidx)
+            first[i, idx] = digits[idx, pi[0]]
+            last[i, idx] = digits[idx, pi[-1]]
 
-    def seed_digits(value: int):
-        if cs.kind == UNIFORM:
-            return (_uniform_digits(value, q, func.n[0] + 1),)
-        return _mixed_digits(value, func)
-
-    exps = np.zeros((K, K, d.L), dtype=np.int64)
-    base_tab = base.table.astype(np.int64)
-    for t in range(K):
-        tdig = seed_digits(t)
-        for dd in range(K):
-            ddig = seed_digits(dd)
-            row = base_tab.copy()
-            for i in range(d.k):
-                w = func.chain_weight(i)
-                for v, j in enumerate(func.J[i]):
-                    coef = w * (ddig[i][v] + tdig[i][v])
-                    row = row + coef * digits[:, j]
-                for idx, pis in classes:
-                    first, last = pis[i][0], pis[i][-1]
-                    row[idx] = (
-                        row[idx]
-                        + w * ddig[i][-1] * digits[idx, first]
-                        + w * tdig[i][-1] * digits[idx, last]
-                    )
-            exps[t, dd] = row % q
+    T = np.broadcast_to(build_from_spec(func).table, (K, L)).copy()
+    D = np.zeros((K, L), dtype=np.int64)
+    for i, S in enumerate(seed_digits(cs)):
+        w = func.chain_weight(i)
+        restricted = S[:, :-1] @ digits[:, list(func.J[i])].T
+        T += w * (restricted + S[:, -1:] * last[i])
+        D += w * (restricted + S[:, -1:] * first[i])
+    exps = np.empty((K, K, L), dtype=work)
+    np.add((T % q).astype(work)[:, None], (D % q).astype(work)[None], out=exps)
+    exps %= q
     meta = {
         "kind": cs.kind,
         "blocks": [list(b) for b in d.blocks],
@@ -450,6 +536,11 @@ def kronecker_compose(C: CodeSet, D: CodeSet, *, skip_verify: bool = False) -> C
     slow factor: its indices are most significant.  Inputs must verify as
     complete complementary codes unless skip_verify is set.
     """
+    Q = C.q * D.q // gcd(C.q, D.q)
+    K, M, L = C.K * D.K, C.M * D.M, C.L * D.L
+    work = exps_dtype(2 * Q - 1)  # holds a + b <= 2Q - 2
+    masked = C.mask is not None or D.mask is not None
+    _check_alloc(_tensor_bytes(K * M * L, Q, work) + masked * K * M * L, f"a ({K}, {L}) Kronecker product over Z_{Q}")
     if not skip_verify:
         from .verify import verify_ccc
 
@@ -457,15 +548,13 @@ def kronecker_compose(C: CodeSet, D: CodeSet, *, skip_verify: bool = False) -> C
             report = verify_ccc(cset, mode="exact")
             if not report.is_ccc:
                 raise ValueError(f"{name} factor is not a complete complementary code")
-    Q = C.q * D.q // gcd(C.q, D.q)
-    sc, sd = Q // C.q, Q // D.q
-    exps = (
-        sc * C.exps[:, None, :, None, :, None] + sd * D.exps[None, :, None, :, None, :]
-    ) % Q
-    K, M, L = C.K * D.K, C.M * D.M, C.L * D.L
+    a = np.multiply(C.exps, Q // C.q, dtype=work)
+    b = np.multiply(D.exps, Q // D.q, dtype=work)
+    exps = a[:, None, :, None, :, None] + b[None, :, None, :, None, :]
+    exps %= Q
     exps = exps.reshape(K, M, L)
     mask = None
-    if C.mask is not None or D.mask is not None:
+    if masked:
         mc = np.ones(C.exps.shape, bool) if C.mask is None else C.mask
         md = np.ones(D.exps.shape, bool) if D.mask is None else D.mask
         mask = (mc[:, None, :, None, :, None] & md[None, :, None, :, None, :]).reshape(K, M, L)

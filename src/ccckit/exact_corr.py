@@ -260,7 +260,7 @@ def _counts_at_shift(e1, m1, e2, m2, q, tau):
     """
     L = e1.shape[1]
     s1, s2 = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L), slice(0, L + tau))
-    d = (e1[:, s1] - e2[:, s2]) % q
+    d = np.subtract(e1[:, s1], e2[:, s2], dtype=np.int64) % q  # widen: stored exponents are unsigned
     valid = None
     for mask, s in ((m1, s1), (m2, s2)):
         if mask is not None:

@@ -1,0 +1,446 @@
+"""The array build, compact storage and JSON I/O against per-entry oracles.
+
+The oracles are the loop implementations the array code replaced: a builder
+that assembles each (code t, sequence d) row on its own, a writer and a
+reader that visit every entry.  They work in int64 throughout, so they also
+check that nothing wraps in the compact unsigned storage.
+"""
+
+import json
+import random
+from math import gcd, prod
+
+import numpy as np
+import pytest
+
+import ccckit as ck
+from ccckit import construct, exact_corr
+from ccckit.cli import main, spec_from_config
+from ccckit.construct import UNIFORM, CodeSet, ConfigError, exps_dtype, set_size
+from ccckit.mixed_radix import digit_matrix
+from ccckit.qary import build_from_spec, restriction_index, restriction_values
+
+from conftest import rand_perm_table, rand_table
+
+# ---------------------------------------------------------------------------
+# oracles
+
+
+def _uniform_digits(value, q, width):
+    """Base-q digits, most significant first."""
+    return tuple((value // q ** (width - 1 - i)) % q for i in range(width))
+
+
+def _mixed_digits(value, func):
+    """Per-block digit tuples, block 1 fastest, least significant digit first."""
+    out = []
+    for (p, _), ni in zip(func.domain.blocks, func.n):
+        width = ni + 1
+        local = value % p**width
+        value //= p**width
+        out.append(tuple((local // p**v) % p for v in range(width)))
+    return tuple(out)
+
+
+def oracle_build(cs):
+    """(K, K, L) int64 exponents, one (t, d) row at a time."""
+    func = cs.func
+    d = func.domain
+    q = d.q
+    base = build_from_spec(func).table.astype(np.int64)
+    digits = digit_matrix(d)
+    K = set_size(cs)
+    classes = []
+    for c in restriction_values(d, func.flat_J):
+        cidx = restriction_index(d, func.flat_J, c)
+        mask = np.ones(d.L, dtype=bool)
+        for j, cj in zip(func.flat_J, c):
+            mask &= digits[:, j] == cj
+        classes.append((np.flatnonzero(mask), [func.pi_for(i, cidx) for i in range(d.k)]))
+
+    def seed(value):
+        if cs.kind == UNIFORM:
+            return (_uniform_digits(value, q, func.n[0] + 1),)
+        return _mixed_digits(value, func)
+
+    exps = np.zeros((K, K, d.L), dtype=np.int64)
+    for t in range(K):
+        tdig = seed(t)
+        for dd in range(K):
+            ddig = seed(dd)
+            row = base.copy()
+            for i in range(d.k):
+                w = func.chain_weight(i)
+                for v, j in enumerate(func.J[i]):
+                    row = row + w * (ddig[i][v] + tdig[i][v]) * digits[:, j]
+                for idx, pis in classes:
+                    first, last = pis[i][0], pis[i][-1]
+                    row[idx] = (
+                        row[idx]
+                        + w * ddig[i][-1] * digits[idx, first]
+                        + w * tdig[i][-1] * digits[idx, last]
+                    )
+            exps[t, dd] = row % q
+    return exps
+
+
+def oracle_kron(C, D):
+    Q = C.q * D.q // gcd(C.q, D.q)
+    a = C.exps.astype(np.int64) * (Q // C.q)
+    b = D.exps.astype(np.int64) * (Q // D.q)
+    exps = (a[:, None, :, None, :, None] + b[None, :, None, :, None, :]) % Q
+    return exps.reshape(C.K * D.K, C.M * D.M, C.L * D.L)
+
+
+def oracle_to_json(C):
+    codes = []
+    for k in range(C.K):
+        row = []
+        for m in range(C.M):
+            row.append(
+                [
+                    int(e) if C.mask is None or C.mask[k, m, i] else None
+                    for i, e in enumerate(C.exps[k, m])
+                ]
+            )
+        codes.append(row)
+    return {"q": C.q, "L": C.L, "K": C.K, "M": C.M, "meta": C.meta, "codes": codes}
+
+
+def oracle_dumps(C):
+    return json.dumps(oracle_to_json(C), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def oracle_load(data):
+    """(q, int64 exps, bool mask) read one entry at a time."""
+    codes = data["codes"]
+    K, M, L = len(codes), len(codes[0]), len(codes[0][0])
+    exps = np.zeros((K, M, L), dtype=np.int64)
+    mask = np.ones((K, M, L), dtype=bool)
+    for k, row in enumerate(codes):
+        for m, seq in enumerate(row):
+            for i, e in enumerate(seq):
+                if e is None:
+                    mask[k, m, i] = False
+                else:
+                    exps[k, m, i] = int(e)
+    return data["q"], exps, mask
+
+
+# ---------------------------------------------------------------------------
+# randomized specs
+
+
+def blocks(*pairs):
+    return [{"p": p, "m": m} for p, m in pairs]
+
+
+def per_class_uniform_spec(rng, q, m, n):
+    """corollary1 with an ordering per restriction class: the chain slots move with the class."""
+    J = tuple(range(m - n, m))
+    free = list(range(m - n))
+    pi = {c: tuple(rng.sample(free, len(free))) for c in range(q**n)}
+    h = [rand_perm_table(rng, q, q) for _ in range(m - n - 1)]
+    hp = [rand_perm_table(rng, q, q) for _ in range(m - n - 1)]
+    g = [rand_table(rng, q) for _ in range(m - n)]
+    return ck.corollary1_spec(q, m, n, J, pi, h, hp, g)
+
+
+def per_class_mixed_spec(rng, pairs, n):
+    """corollary3 with orderings, offsets and couplings drawn per restriction class."""
+    d = ck.DomainSpec(pairs)
+    q = d.q
+    J = [d.block_positions(i)[len(d.block_positions(i)) - ni :] for i, ni in enumerate(n)]
+    classes = prod(p**ni for (p, _), ni in zip(pairs, n))
+    pis, chains, gs = [], [], []
+    for i, (p, mi) in enumerate(pairs):
+        free = [j for j in d.block_positions(i) if j not in J[i]]
+        pis.append({c: tuple(rng.sample(free, len(free))) for c in range(classes)})
+        chains.append(
+            tuple((rand_perm_table(rng, q, p), rand_perm_table(rng, q, p)) for _ in range(mi - n[i] - 1))
+        )
+        gs.append(tuple(rand_table(rng, q) for _ in range(mi - n[i])))
+    couplings = [(rng.randrange(q), rand_table(rng, q), rand_table(rng, q)) for _ in range(d.k - 1)]
+    offsets = {c: rng.randrange(q) for c in range(classes)}
+    return ck.corollary3_spec(d, J, pis, chains, gs, couplings, offsets)
+
+
+FAMILY_CONFIGS = [
+    {"kind": "theorem1", "q": 2, "m": 3},
+    {"kind": "theorem1", "q": 5, "m": 2},
+    {"kind": "theorem1", "q": 6, "m": 2},
+    {"kind": "corollary1", "q": 2, "m": 4, "n": 2},
+    {"kind": "corollary1", "q": 3, "m": 3, "n": 1},
+    {"kind": "theorem2", "blocks": blocks((2, 2), (3, 2))},
+    {"kind": "theorem2", "blocks": blocks((2, 1), (5, 2))},
+    # one-variable chains (m_i - n_i = 1): the first and last slots coincide
+    {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0]},
+    {"kind": "corollary3", "blocks": blocks((2, 2), (3, 1)), "n": [1, 0]},
+    {"kind": "corollary3", "blocks": blocks((2, 1), (3, 2)), "n": [0, 1]},
+    # q = 30: two-digit tokens
+    {"kind": "corollary3", "blocks": blocks((2, 1), (3, 1), (5, 1)), "n": [0, 0, 0]},
+    {"kind": "corollary3", "blocks": blocks((2, 2), (3, 1), (5, 1)), "n": [1, 0, 0]},
+]
+
+
+def family_specs():
+    out = []
+    for i, cfg in enumerate(FAMILY_CONFIGS):
+        for seed in (1, 2):
+            out.append(pytest.param(spec_from_config(dict(cfg, seed=seed)), id=f"{cfg['kind']}-{i}-{seed}"))
+    rng = random.Random(0xA77A)
+    out.append(pytest.param(per_class_uniform_spec(rng, 3, 4, 1), id="per-class-uniform-q3"))
+    out.append(pytest.param(per_class_uniform_spec(rng, 2, 5, 2), id="per-class-uniform-q2"))
+    out.append(pytest.param(per_class_mixed_spec(rng, ((2, 3), (3, 2)), [1, 1]), id="per-class-mixed-6"))
+    out.append(pytest.param(per_class_mixed_spec(rng, ((2, 2), (3, 2)), [1, 1]), id="per-class-mixed-one-var"))
+    out.append(pytest.param(per_class_mixed_spec(rng, ((2, 2), (3, 1), (5, 1)), [1, 0, 0]), id="per-class-mixed-30"))
+    # corrupted specs: the builder skips the permutation check
+    for cfg, corrupt in (
+        ({"kind": "theorem1", "q": 3, "m": 3}, {"block": 0, "chain": 1, "which": "fp", "constant": 2}),
+        ({"kind": "corollary1", "q": 3, "m": 4, "n": 1}, {"block": 0, "chain": 0, "which": "f", "table": [0, 0, 1]}),
+        ({"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0]},
+         {"block": 1, "chain": 0, "which": "f", "constant": 3}),
+    ):
+        out.append(pytest.param(spec_from_config(dict(cfg, seed=7, corrupt=corrupt)), id=f"corrupt-{cfg['kind']}"))
+    return out
+
+
+def with_holes(C, seed, frac=0.2):
+    rng = np.random.default_rng(seed)
+    return CodeSet(C.q, C.exps, rng.random(C.exps.shape) >= frac, C.meta)
+
+
+def assert_io_matches_oracles(C):
+    text = C.dumps()
+    assert text == oracle_dumps(C)
+    assert text == json.dumps(C.to_json(), sort_keys=True, separators=(",", ":")) + "\n"
+    data = json.loads(text)
+    assert data == C.to_json() == oracle_to_json(C)
+    back = CodeSet.from_json(data)
+    assert back.same_codes(C)
+    assert back.exps.dtype == exps_dtype(C.q)
+    q, exps, mask = oracle_load(data)
+    assert q == back.q
+    assert np.array_equal(np.where(mask, exps, 0), np.where(mask, back.exps, 0))
+    assert np.array_equal(mask, np.ones_like(mask) if back.mask is None else back.mask)
+
+
+# ---------------------------------------------------------------------------
+# build, write, read
+
+
+@pytest.mark.parametrize("spec", family_specs())
+def test_build_matches_per_row_oracle(spec):
+    C = ck.build_code_set(spec)
+    assert C.exps.dtype == exps_dtype(C.q) == np.uint8
+    assert not C.exps.flags.writeable
+    assert np.array_equal(C.exps, oracle_build(spec))
+    assert C.meta["corrupted"] == spec.corrupted
+
+
+@pytest.mark.parametrize("spec", family_specs())
+def test_io_matches_per_entry_oracles(spec):
+    C = ck.build_code_set(spec)
+    assert_io_matches_oracles(C)
+    assert_io_matches_oracles(with_holes(C, seed=C.K))
+
+
+def test_io_q30_multi_digit_tokens_and_holes():
+    C = ck.build_code_set(spec_from_config({"kind": "corollary3", "blocks": blocks((2, 1), (3, 1), (5, 1)), "seed": 3}))
+    assert C.q == 30 and C.exps.max() >= 10
+    assert_io_matches_oracles(C)
+    holed = with_holes(C, seed=5, frac=0.5)
+    assert '"null"' not in holed.dumps() and "null" in holed.dumps()
+    assert_io_matches_oracles(holed)
+
+
+def test_io_edge_shapes_and_alphabets():
+    assert_io_matches_oracles(ck.trivial_code_set())
+    assert_io_matches_oracles(CodeSet(2, np.array([[[1]]]), np.array([[[False]]])))
+    # q > 65536 is stored as int64 and written from the values present
+    big = CodeSet(70000, np.array([[[69999, 5, 0], [12, 12, 69998]]]), np.array([[[True, False, True]] * 2]))
+    assert big.exps.dtype == np.int64
+    assert_io_matches_oracles(big)
+    assert_io_matches_oracles(CodeSet(70000, np.array([[[69999, 5, 0]]])))
+
+
+@pytest.mark.parametrize("q", [256, 65536])
+def test_io_holes_at_the_storage_dtype_boundary(q):
+    # the null token id is q, one past what the storage dtype holds
+    rng = np.random.default_rng(q)
+    exps = rng.integers(0, q, size=(2, 3, 7))
+    exps[0, 0, :2] = 0, q - 1
+    C = CodeSet(q, exps)
+    assert C.exps.dtype == exps_dtype(q) != np.int64
+    holed = with_holes(C, seed=1, frac=0.4)
+    assert holed.dumps().count("null") == int((~holed.mask).sum())
+    assert_io_matches_oracles(holed)
+
+
+def test_kronecker_with_lcm_above_256_stores_uint16():
+    A = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 17, "m": 2, "seed": 1}))
+    B = CodeSet(19, np.zeros((1, 1, 1), dtype=np.int64))
+    P = ck.kronecker_compose(A, B)
+    assert (P.q, P.K, P.L) == (17 * 19, 17, 289)
+    assert P.exps.dtype == np.uint16
+    assert np.array_equal(P.exps, oracle_kron(A, B))
+    assert_io_matches_oracles(P)
+
+
+def test_kronecker_matches_oracle_with_holes():
+    A = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 2, "m": 2, "seed": 3}))
+    B = ck.build_code_set(spec_from_config({"kind": "corollary3", "blocks": blocks((2, 1), (3, 2)), "seed": 4}))
+    P = ck.kronecker_compose(A, B)
+    assert P.q == 6 and np.array_equal(P.exps, oracle_kron(A, B))
+    Ph = ck.kronecker_compose(with_holes(B, 1), A, skip_verify=True)
+    assert np.array_equal(Ph.exps, oracle_kron(B, A))
+    assert Ph.mask is not None
+    assert_io_matches_oracles(Ph)
+
+
+def test_exps_dtype_boundaries():
+    assert [exps_dtype(q) for q in (1, 256, 257, 65536, 65537)] == [
+        np.uint8, np.uint8, np.uint16, np.uint16, np.int64
+    ]
+
+
+def test_shift_counter_widens_unsigned_exponents():
+    # 0 - 2 wraps to 254 in uint8, and 254 % 3 = 2; the true difference is 1 mod 3
+    e1, e2 = np.array([[0]], dtype=np.uint8), np.array([[2]], dtype=np.uint8)
+    assert exact_corr._counts_at_shift(e1, None, e2, None, 3, 0).tolist() == [0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# same_codes
+
+
+def test_same_codes_compares_values_not_dtype_or_meta():
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 3, "m": 2, "seed": 1}))
+    wide = CodeSet(3, C.exps.astype(np.int64), meta={"other": 1})
+    assert wide.exps.dtype == np.uint8
+    assert wide.same_codes(C) and C.same_codes(wide)
+    flipped = C.exps.astype(np.int64)
+    flipped[0, 0, 0] = (flipped[0, 0, 0] + 1) % 3
+    assert not CodeSet(3, flipped).same_codes(C)
+    assert not CodeSet(4, C.exps).same_codes(C)
+    assert not CodeSet(3, C.exps[:, :, :-1]).same_codes(C)
+    assert not C.same_codes(C.exps)
+
+
+def test_same_codes_holes_compare_as_holes():
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 3, "m": 2, "seed": 1}))
+    H = with_holes(C, seed=2)
+    hidden = C.exps.astype(np.int64)
+    hidden[~H.mask] = (hidden[~H.mask] + 1) % 3  # differs only under the holes
+    assert CodeSet(3, hidden, H.mask).same_codes(H)
+    assert not H.same_codes(C) and not C.same_codes(H)
+    assert not with_holes(C, seed=3).same_codes(H)
+    zeros = np.zeros((1, 1, 2), dtype=np.int64)  # holes in different places, equal hidden values
+    assert not CodeSet(2, zeros, [[[False, True]]]).same_codes(CodeSet(2, zeros, [[[True, False]]]))
+    # an all-true mask is no mask
+    assert CodeSet(3, C.exps, np.ones(C.exps.shape, bool)).same_codes(C)
+
+
+# ---------------------------------------------------------------------------
+# strict loader: every bad file is a ConfigError, exit 2 from the CLI
+
+BAD_CODE_SETS = {
+    "float": {"q": 2, "codes": [[[0, 0.5]]]},
+    "integral_float": {"q": 2, "codes": [[[0, 1.0]]]},
+    "bool": {"q": 2, "codes": [[[0, True]]]},
+    "string": {"q": 2, "codes": [[[0, "1"]]]},
+    "nested": {"q": 2, "codes": [[[0, [1]]]]},
+    "negative": {"q": 2, "codes": [[[0, -1]]]},
+    "at_q": {"q": 2, "codes": [[[0, 2]]]},
+    "above_uint8": {"q": 2, "codes": [[[0, 300]]]},
+    "huge": {"q": 2, "codes": [[[0, 2**70]]]},
+    "negative_with_hole": {"q": 2, "codes": [[[None, -1]]]},
+    "at_q_with_hole": {"q": 3, "codes": [[[None, 3]]]},
+    "huge_with_hole": {"q": 2, "codes": [[[None, 2**70]]]},
+    "negative_int64_storage": {"q": 70000, "codes": [[[0, -1]]]},
+    "at_q_int64_storage": {"q": 70000, "codes": [[[0, 70000]]]},
+    "inconsistent_K": {"q": 2, "K": 2, "codes": [[[0, 1]]]},
+    "inconsistent_L_type": {"q": 2, "L": "2", "codes": [[[0, 1]]]},
+    "q_float": {"q": 2.0, "codes": [[[0, 1]]]},
+    "q_bool": {"q": True, "codes": [[[0]]]},
+    "q_zero": {"q": 0, "codes": [[[0]]]},
+    "q_missing": {"codes": [[[0]]]},
+    "codes_missing": {"q": 2},
+    "codes_not_list": {"q": 2, "codes": {"0": [[0]]}},
+    "sequence_not_list": {"q": 2, "codes": [[[0, 1], 5]]},
+    "meta_not_object": {"q": 2, "meta": [1], "codes": [[[0, 1]]]},
+    "top_level_list": [[[0, 1]]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CODE_SETS))
+def test_from_json_rejects_bad_exponents_and_headers(name):
+    with pytest.raises(ConfigError):
+        CodeSet.from_json(BAD_CODE_SETS[name])
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CODE_SETS))
+def test_verify_exits_2_on_bad_file(tmp_path, capsys, name):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_CODE_SETS[name]))
+    assert main(["verify", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_from_json_accepts_holes_and_header_fields():
+    C = CodeSet.from_json({"q": 3, "K": 1, "M": 2, "L": 2, "meta": None, "codes": [[[None, 2], [1, None]]]})
+    assert C.exps.dtype == np.uint8
+    assert C.mask.tolist() == [[[False, True], [True, False]]]
+    assert C.to_json()["codes"] == [[[None, 2], [1, None]]]
+
+
+# ---------------------------------------------------------------------------
+# size guard: refused before anything large is allocated
+
+HUGE = {"kind": "theorem1", "q": 3, "m": 200}
+
+
+def test_build_refuses_sizes_beyond_memory():
+    with pytest.raises(ConfigError, match="physical memory"):
+        ck.build_code_set(spec_from_config(HUGE))
+
+
+def test_cli_build_refuses_sizes_beyond_memory(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(HUGE))
+    assert main(["build", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_kronecker_refuses_sizes_beyond_memory():
+    # two 1 MiB factors whose product would be 1 TiB
+    A = CodeSet(2, np.zeros((1, 1, 2**20), dtype=np.uint8))
+    with pytest.raises(ConfigError, match="physical memory"):
+        ck.kronecker_compose(A, A, skip_verify=True)
+
+
+def test_size_guard_counts_the_storage_copy(monkeypatch):
+    # lcm 130: built in uint16 (sums up to 258), stored in uint8, so 3 B an entry
+    assert construct._tensor_bytes(16, 130, exps_dtype(259)) == 48
+    assert construct._tensor_bytes(16, 3, exps_dtype(5)) == 16
+    A = CodeSet(2, np.zeros((1, 1, 4), dtype=np.uint8))
+    B = CodeSet(65, np.zeros((1, 1, 4), dtype=np.uint8))
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 40}[name])
+    with pytest.raises(ConfigError, match="physical memory"):
+        ck.kronecker_compose(A, B, skip_verify=True)
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 48}[name])
+    assert ck.kronecker_compose(A, B, skip_verify=True).q == 130
+
+
+@pytest.mark.parametrize("error", [AttributeError, ValueError, OSError])
+def test_size_guard_skipped_when_memory_is_unknown(monkeypatch, error):
+    def sysconf(name):
+        raise error(name)
+
+    monkeypatch.setattr(construct.os, "sysconf", sysconf)
+    construct._check_alloc(2**60, "anything")
+    monkeypatch.delattr(construct.os, "sysconf")
+    construct._check_alloc(2**60, "anything")
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 3, "m": 2, "seed": 1}))
+    assert C.K == 3

@@ -3,7 +3,8 @@ import pytest
 
 import ccckit as ck
 from ccckit import example72
-from ccckit.construct import CodeSet, _mixed_digits, _uniform_digits, set_size
+from ccckit.cli import spec_from_config
+from ccckit.construct import CodeSet, seed_digits, set_size
 from ccckit.qary import MonomialForm, SpecError, constant_table, identity_table
 
 from conftest import rand_perm_table, rand_table, rand_theorem2_spec
@@ -165,12 +166,13 @@ def test_digit_enumeration_bijective():
     spec = example72.construction_spec()
     K = set_size(spec)
     assert K == 12
-    seen = {_mixed_digits(t, spec.func) for t in range(K)}
+    seen = {tuple(np.concatenate([S[t] for S in seed_digits(spec)]).tolist()) for t in range(K)}
     assert len(seen) == K
-    assert {_uniform_digits(t, 3, 2) for t in range(9)} == {
+    (S,) = seed_digits(spec_from_config({"kind": "corollary1", "q": 3, "m": 3, "n": 1}))
+    assert {tuple(row) for row in S.tolist()} == {
         (a, b) for a in range(3) for b in range(3)
     }
-    assert _uniform_digits(5, 3, 2) == (1, 2)  # 5 = 1*3 + 2, most significant first
+    assert S[5].tolist() == [1, 2]  # 5 = 1*3 + 2, most significant first
 
 
 def test_kronecker_2x4_with_3x9():
