@@ -45,11 +45,9 @@ from .qary import (
 from .verify import (
     ProbeResult,
     VerifyReport,
-    gram_check_float,
     lemma1_equiv_check,
     necessity_probe,
     verify_ccc,
-    verify_ccc_sampled,
     witness_shifts,
 )
 from .waveform import RootSequence, eta, psi, psi_restricted

@@ -70,6 +70,14 @@ def _get_tables(cfg, key, count, q, fill):
     return [tuple(int(v) for v in t) for t in raw]
 
 
+def _per_block(cfg, key, count):
+    """cfg[key] as a list of ``count`` entries, or None when the key is absent."""
+    raw = cfg.get(key)
+    if raw is not None and (not isinstance(raw, list) or len(raw) != count):
+        raise ConfigError(f"{key} must be a list of {count} entries")
+    return raw
+
+
 def _int_key_dict(raw: dict) -> dict:
     return {int(k): v for k, v in raw.items()}
 
@@ -82,6 +90,8 @@ def _maybe_per_restriction(raw, convert):
 
 def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     """Turn a build config into a construction spec, filling gaps from the seed."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("a build config must be a JSON object")
     kind = cfg.get("kind")
     rng = random.Random(cfg.get("seed", 0) if seed is None else seed)
     if kind == "theorem1":
@@ -128,8 +138,8 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
             lam = int(cfg.get("lam", rng.randrange(q)))
             spec = theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam)
         else:
-            n = [int(v) for v in cfg.get("n", [0] * domain.k)]
-            J_cfg = cfg.get("J")
+            n = [int(v) for v in _per_block(cfg, "n", domain.k) or [0] * domain.k]
+            J_cfg = _per_block(cfg, "J", domain.k)
             J = []
             for i, ni in enumerate(n):
                 if J_cfg is not None:
@@ -137,7 +147,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
                 else:
                     positions = domain.block_positions(i)
                     J.append(tuple(positions[len(positions) - ni :]))
-            pi_cfg = cfg.get("pi")
+            pi_cfg = _per_block(cfg, "pi", domain.k)
             pis = []
             for i in range(domain.k):
                 free = [j for j in domain.block_positions(i) if j not in J[i]]
@@ -146,7 +156,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
                 else:
                     pis.append(_maybe_per_restriction(pi_cfg[i], tuple))
             p_i = [b[0] for b in domain.blocks]
-            chains_cfg = cfg.get("chains")
+            chains_cfg = _per_block(cfg, "chains", domain.k)
             chains = []
             for i in range(domain.k):
                 want = domain.blocks[i][1] - n[i] - 1
@@ -161,7 +171,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
                     chains.append(
                         tuple((tuple(int(v) for v in f), tuple(int(v) for v in fp)) for f, fp in chains_cfg[i])
                     )
-            g_cfg = cfg.get("g")
+            g_cfg = _per_block(cfg, "g", domain.k)
             gs = []
             for i in range(domain.k):
                 want = domain.blocks[i][1] - n[i]
@@ -173,7 +183,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
                             g_cfg[i], lambda ts: tuple(tuple(int(v) for v in t) for t in ts)
                         )
                     )
-            coup_cfg = cfg.get("couplings")
+            coup_cfg = _per_block(cfg, "couplings", domain.k - 1)
             couplings = []
             for i in range(domain.k - 1):
                 if coup_cfg is None:
@@ -192,6 +202,8 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
 
     corrupt = cfg.get("corrupt")
     if corrupt:
+        if not isinstance(corrupt, dict):
+            raise ConfigError("a corrupt stanza must be a JSON object")
         table = corrupt.get("table")
         if table is None and "constant" in corrupt:
             table = [int(corrupt["constant"])] * spec.func.domain.q
@@ -206,10 +218,10 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
 
 
 def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
-    if cfg.get("kind") == "kronecker":
+    if isinstance(cfg, dict) and cfg.get("kind") == "kronecker":
         inputs = cfg.get("inputs") or []
-        if len(inputs) < 2:
-            raise ConfigError("kronecker needs at least two input code-set files")
+        if not isinstance(inputs, list) or len(inputs) < 2 or not all(isinstance(p, str) for p in inputs):
+            raise ConfigError("kronecker needs a list of at least two input code-set paths")
         sets = [load_code_set(path) for path in inputs]
         out = sets[0]
         skip = bool(cfg.get("skip_verify", False))
@@ -283,9 +295,9 @@ def cmd_profile(args) -> int:
 def cmd_probe(args) -> int:
     with open(args.config) as fh:
         cfg = json.load(fh)
-    if not cfg.get("corrupt"):
-        raise ConfigError("probe needs a config with a 'corrupt' stanza")
     spec = spec_from_config(cfg, args.seed)
+    if not spec.corrupted:
+        raise ConfigError("probe needs a config with a 'corrupt' stanza")
     result = necessity_probe(spec)
     print(result.summary())
     return 0 if result.found else 1
@@ -345,6 +357,7 @@ def main(argv=None) -> int:
         json.JSONDecodeError,
         OSError,
         KeyError,
+        OverflowError,
         TypeError,
         ValueError,
     ) as exc:

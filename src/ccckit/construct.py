@@ -406,6 +406,8 @@ def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, repla
     {0..p-1} mod p: those would not corrupt anything.
     """
     func = cs.func
+    if not (0 <= block < func.domain.k and 0 <= chain < len(func.chains[block])):
+        raise ConfigError(f"no chain {chain} in block {block} of this spec")
     p = func.domain.blocks[block][0]
     replacement = check_table(replacement, func.domain.q)
     if is_permutation_mod(replacement, p):

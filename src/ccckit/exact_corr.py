@@ -18,7 +18,9 @@ integer coefficients.  That is exact because ``fft_gram_bound`` proves the
 error below 1/2 (FFT error after Percival, Math. Comp. 72 (2003) 387-395,
 times ||V^{-1}||_inf of the character Vandermonde); callers check the bound
 first and fall back to the integer shiftwise counts when it fails.  Its
-buffers fit one fixed budget, ``TILE_BYTES``.
+buffers fit one fixed budget, ``TILE_BYTES``.  Evaluated at the one
+character j = 1 against a magnitude threshold, it is also the advisory
+float check.
 
 Shift conventions for tau >= 0: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau});
 for tau < 0 the conjugate-reversal symmetry Theta(a,b)(-tau) =
@@ -195,23 +197,18 @@ def counts_to_complex(counts: np.ndarray, q: int) -> np.ndarray:
 # correlation of sequences and code rows
 
 
-def _as_arrays(seq):
-    if isinstance(seq, RootSequence):
-        exps, mask = seq.to_arrays()
-        return exps, mask, seq.q
-    raise TypeError(f"expected RootSequence, got {type(seq)!r}")
-
-
 def _stack_row(row):
     """Stack a code row (list of RootSequence) into (exps (M,L), mask (M,L), q)."""
     if isinstance(row, RootSequence):
         row = [row]
     exps, masks, qs = [], [], set()
     for seq in row:
-        e, m, q = _as_arrays(seq)
+        if not isinstance(seq, RootSequence):
+            raise TypeError(f"expected RootSequence, got {type(seq)!r}")
+        e, m = seq.to_arrays()
         exps.append(e)
         masks.append(m)
-        qs.add(q)
+        qs.add(seq.q)
     if len(qs) != 1:
         raise ValueError(f"mixed moduli in code row: {sorted(qs)}")
     lens = {len(e) for e in exps}
@@ -226,17 +223,7 @@ def accf_exact(a: RootSequence, b: RootSequence, tau: int) -> GroupRingElement:
     Entries that are literal zeros (None) contribute nothing.  Conjugation of
     b negates its exponents mod q.
     """
-    ea, ma, qa = _as_arrays(a)
-    eb, mb, qb = _as_arrays(b)
-    if qa != qb:
-        raise ValueError(f"modulus mismatch: {qa} != {qb}")
-    if len(ea) != len(eb):
-        raise ValueError(f"length mismatch: {len(ea)} != {len(eb)}")
-    L = len(ea)
-    if not -L < tau < L:
-        raise ValueError(f"shift {tau} out of range for length {L}")
-    counts = _counts_at_shift(ea[None], ma[None], eb[None], mb[None], qa, tau)
-    return GroupRingElement(qa, tuple(int(c) for c in counts))
+    return code_accf(a, b, tau)
 
 
 def code_accf(row1, row2, tau: int) -> GroupRingElement:
@@ -274,37 +261,6 @@ def pair_counts_nonneg_shifts(e1, m1, e2, m2, q) -> np.ndarray:
     out = np.zeros((L, q), dtype=np.int64)
     for tau in range(L):
         out[tau] = _counts_at_shift(e1, m1, e2, m2, q, tau)
-    return out
-
-
-def counts_via_convolution(row1, row2) -> np.ndarray:
-    """(2L-1, q) counts for tau = -(L-1) .. L-1 via generating polynomials.
-
-    Independent of the shiftwise path: each sequence becomes a polynomial in z
-    with one-hot group-ring coefficients, and the product A(z) * conj(B)(1/z)
-    is expanded with integer convolutions per residue pair.  Row index
-    tau + L - 1 holds the counts at shift tau.
-    """
-    e1, m1, q = _stack_row(row1)
-    e2, m2, _ = _stack_row(row2)
-    M, L = e1.shape
-    out = np.zeros((2 * L - 1, q), dtype=np.int64)
-    for m in range(M):
-        hot1 = np.zeros((q, L), dtype=np.int64)
-        hot2 = np.zeros((q, L), dtype=np.int64)
-        idx = np.arange(L)
-        hot1[e1[m], idx] = m1[m].astype(np.int64)
-        hot2[e2[m], idx] = m2[m].astype(np.int64)
-        for r1 in range(q):
-            if not hot1[r1].any():
-                continue
-            for r2 in range(q):
-                if not hot2[r2].any():
-                    continue
-                # convolve pairs hot1[t] with hot2[t + (L-1-u)]; reversing maps
-                # output index u back to shift tau = t' - t with tau + L - 1 = u
-                conv = np.convolve(hot1[r1], hot2[r2][::-1])[::-1]
-                out[:, (r1 - r2) % q] += conv
     return out
 
 
@@ -461,17 +417,17 @@ def fft_gram_bound(M: int, L: int, q: int) -> float:
     return w_norm * theta_err + apply_err + inverse_err
 
 
-def plan_tiles(K: int, M: int, L: int, q: int) -> tuple[int, int, int]:
+def plan_tiles(K: int, M: int, L: int, h: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per FFT batch, working set.
 
     A tile pairs k codes with k codes; its buffers are the two spectrum
     batches (k, mc, N) with the root lookup that fills them, the Gram of
-    each of the h characters (h, k, k, N), one scratch (k, k, N) for a Gram
-    chunk or a rho row, and two flag arrays.  k grows first (each code's
+    each of the h characters evaluated (h, k, k, N), one scratch (k, k, N)
+    for a Gram chunk or a rho row, and two flag arrays.  k grows first (each code's
     spectra are recomputed once per tile it meets), then mc, while the total
     stays within TILE_BYTES; k = mc = 1 is the floor.
     """
-    N, h = fft_length(L), len(character_basis(q)[0])
+    N = fft_length(L)
 
     def cost(k, mc):
         return 16 * k * mc * (2 * N + L) + k * k * N * (16 * (h + 1) + 2)
@@ -496,13 +452,15 @@ def _spectra(buf, exps, mask, roots, k0, kk, m0, mm, N):
     return np.fft.fft(x, axis=-1, out=x)
 
 
-def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int) -> tuple[int, np.ndarray]:
-    """Zero-test every cell of a (K, M, L) code set over Z_q, q >= 2.
+def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None = None) -> tuple[int, np.ndarray]:
+    """Zero-test every cell of a (K, M, L) code set over Z_q.
 
     A cell (a, b, tau), tau in [0, L), is nonzero when its counts, less M*L at
     a == b, tau == 0, are not divisible by Phi_q.  Returns the number of
     nonzero cells and the smallest ``limit`` of their keys (a K + b) L + tau,
-    sorted.  Exact only while fft_gram_bound(M, L, q) < 1/2.
+    sorted.  Exact only while fft_gram_bound(M, L, q) < 1/2 and q >= 2.
+    Given a float ``tol``, the advisory test runs instead: only the character
+    j = 1 is evaluated and a cell is nonzero when |Theta_1| >= tol (any q).
 
     Tiles of code pairs (a-block <= b-block) share preallocated buffers sized
     by plan_tiles.  One inverse FFT per pair gives tau >= 0 of (a, b) at bins
@@ -510,9 +468,9 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int) -> tuple[int, np.
     """
     K, M, L = exps.shape
     N = fft_length(L)
-    js, W, _, _ = character_basis(q)
-    h, phi = len(js), W.shape[0]
-    k, mc, _ = plan_tiles(K, M, L, q)
+    js, W = ([1], None) if tol is not None else character_basis(q)[:2]
+    h = len(js)
+    k, mc, _ = plan_tiles(K, M, L, h)
     spec_a = np.empty(k * mc * N, complex)
     spec_b = np.empty(k * mc * N, complex)
     theta = np.empty(h * k * k * N, complex)
@@ -546,13 +504,15 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int) -> tuple[int, np.
             if a0 == b0:
                 for a in range(ka):
                     th[:, a, a, 0] -= peak
-            # rho = Re(W Theta); a cell is nonzero iff a coefficient rounds to nonzero
             flat, z, f, nz = th.reshape(h, cells), scratch[:cells], flag[:cells], bad[:cells]
-            nz[:] = False
-            for d in range(phi):
-                np.dot(W[d], flat, out=z)
-                np.greater_equal(np.abs(z.real, out=z.imag), 0.5, out=f)  # z.imag is spare
-                nz |= f
+            if W is None:
+                np.greater_equal(np.abs(flat[0], out=z.real), tol, out=nz)  # z.real is spare
+            else:  # rho = Re(W Theta); a cell is nonzero iff a coefficient rounds to nonzero
+                nz[:] = False
+                for row in W:
+                    np.dot(row, flat, out=z)
+                    np.greater_equal(np.abs(z.real, out=z.imag), 0.5, out=f)  # z.imag is spare
+                    nz |= f
             idx = np.flatnonzero(nz)
             if not idx.size:
                 continue

@@ -5,6 +5,7 @@ correlation value is an integer multiplicity vector tested for zero-ness via
 cyclotomic reduction; there are no false positives or negatives.  Float mode
 uses a magnitude threshold and is advisory only -- for composite alphabets a
 tiny float magnitude is expected for true zeros but can never certify one.
+Float mode runs the same tiled kernel on the single character j = 1.
 
 Exact mode runs the fft-gram kernel (``exact_corr.fft_gram_cells``): it
 computes every cell's remainder modulo Phi_q from the primitive characters in
@@ -32,7 +33,6 @@ from .construct import CodeSet, ConstructionSpec, build_code_set
 from .exact_corr import (
     GroupRingElement,
     _counts_at_shift,
-    counts_to_complex,
     fft_gram_bound,
     fft_gram_cells,
     pair_counts_nonneg_shifts,
@@ -100,18 +100,6 @@ def _row_arrays(C: CodeSet, k: int):
     return C.exps[k], None if C.mask is None else C.mask[k]
 
 
-def _cell_counts(C: CodeSet, a: int, b: int, tau: int) -> np.ndarray:
-    e1, m1 = _row_arrays(C, a)
-    e2, m2 = _row_arrays(C, b)
-    return _counts_at_shift(e1, m1, e2, m2, C.q, tau)
-
-
-def _pair_counts(C: CodeSet, k1: int, k2: int) -> np.ndarray:
-    e1, m1 = _row_arrays(C, k1)
-    e2, m2 = _row_arrays(C, k2)
-    return pair_counts_nonneg_shifts(e1, m1, e2, m2, C.q)
-
-
 def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> VerifyReport:
     """Check the full CCC property of a code set.
 
@@ -119,7 +107,8 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
     covered by the conjugate-reversal symmetry, which maps them onto the
     reversed pair's positive shifts.  Requirements: same-code shift 0 equals
     exactly M*L, everything else is zero.  Exact mode uses the fft-gram
-    kernel while its rounding bound is below 1/2 (see the module docstring).
+    kernel while its rounding bound is below 1/2 (see the module docstring);
+    float mode always uses it, flagging |Theta| >= FLOAT_ZERO_FACTOR * M * L.
     """
     if mode not in ("exact", "float"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -128,14 +117,17 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
     K, M, L, q = C.K, C.M, C.L, C.q
     if not (K and M and L):
         raise ValueError(f"cannot verify an empty code set (K={K}, M={M}, L={L})")
-    bound = fft_gram_bound(M, L, q) if mode == "exact" and q > 1 else 1.0
+    if mode == "float":
+        bound, tol = 0.0, FLOAT_ZERO_FACTOR * M * L
+    else:
+        bound, tol = (fft_gram_bound(M, L, q) if q > 1 else 1.0), None
     if bound < 0.5:
-        total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations)
+        total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations, tol)
         bad_cells = []
         for key in keys.tolist():
             ab, tau = divmod(key, L)
             a, b = divmod(ab, K)
-            counts = _cell_counts(C, a, b, tau)
+            counts = _counts_at_shift(*_row_arrays(C, a), *_row_arrays(C, b), q, tau)
             target = counts.copy()
             if a == b and tau == 0:
                 target[0] -= M * L
@@ -143,7 +135,7 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
                 raise ArithmeticError(f"fft-gram kernel flagged cell ({a},{b},{tau}), which recounts to zero")
             bad_cells.append((a, b, tau, counts))
         return _report(C, mode, bad_cells, total, K * K * L, "fft-gram", bound)
-    bad_cells, shifts = _shiftwise_cells(C, mode)
+    bad_cells, shifts = _shiftwise_cells(C)
     bad_cells.sort(key=lambda cell: cell[:3])
     return _report(C, mode, bad_cells[:max_violations], len(bad_cells), shifts, "shiftwise", 0.0)
 
@@ -169,7 +161,7 @@ def _report(C: CodeSet, mode, cells, total, shifts, kernel, bound) -> VerifyRepo
     )
 
 
-def _shiftwise_cells(C: CodeSet, mode: str) -> tuple[list, int]:
+def _shiftwise_cells(C: CodeSet) -> tuple[list, int]:
     """(bad cells (a, b, tau, counts), cells tested): one bincount per pair and shift."""
     K, M, L, q = C.K, C.M, C.L, C.q
     peak = M * L
@@ -179,80 +171,14 @@ def _shiftwise_cells(C: CodeSet, mode: str) -> tuple[list, int]:
         for k2 in range(k1, K):
             ordered = [(k1, k2)] if k1 == k2 else [(k1, k2), (k2, k1)]
             for a, b in ordered:
-                counts = _pair_counts(C, a, b)
+                counts = pair_counts_nonneg_shifts(*_row_arrays(C, a), *_row_arrays(C, b), q)
                 shifts += L
                 target = counts.copy()
                 if a == b:
                     target[0, 0] -= peak  # demand exactly M*L at shift 0
-                if mode == "exact":
-                    ok = zero_count_rows(target, q)
-                else:
-                    mags = np.abs(counts_to_complex(target, q))
-                    ok = mags < FLOAT_ZERO_FACTOR * peak
-                for tau in np.flatnonzero(~ok):
+                for tau in np.flatnonzero(~zero_count_rows(target, q)):
                     bad_cells.append((a, b, int(tau), counts[tau]))
     return bad_cells, shifts
-
-
-def verify_ccc_sampled(C: CodeSet, cells: int, seed: int = 0) -> VerifyReport:
-    """Exact verification on uniformly sampled (ordered pair, shift) cells.
-
-    The same-code shift-0 peaks are always included on top of the sample.
-    """
-    rng = random.Random(seed)
-    K, M, L, q = C.K, C.M, C.L, C.q
-    peak = M * L
-    bad: list[tuple[int, int, int, np.ndarray]] = []
-    tested = 0
-
-    def check(a: int, b: int, tau: int):
-        nonlocal tested
-        counts = _cell_counts(C, a, b, tau)
-        target = counts.copy()
-        if a == b and tau == 0:
-            target[0] -= peak
-        tested += 1
-        if not zero_count_rows(target[None, :], q)[0]:
-            bad.append((a, b, tau, counts))
-
-    for k in range(K):
-        check(k, k, 0)
-    for _ in range(cells):
-        a, b = rng.randrange(K), rng.randrange(K)
-        tau = rng.randrange(L)
-        if a == b and tau == 0:
-            tau = rng.randrange(1, L)
-        check(a, b, tau)
-    bad.sort(key=lambda cell: cell[:3])
-    return _report(C, "exact-sampled", bad[:16], len(bad), tested, "shiftwise", 0.0)
-
-
-def gram_check_float(C: CodeSet, tol_factor: float = 1e-9) -> tuple[bool, float]:
-    """Float Gram-matrix check via FFT: C(z) C^dagger(1/z) = M L I_K.
-
-    Returns (ok, worst absolute deviation).  Advisory: float magnitudes can
-    suggest but never certify exact zero-ness.
-    """
-    K, M, L, q = C.K, C.M, C.L, C.q
-    peak = M * L
-    vals = np.exp(2j * np.pi * C.exps / q)
-    if C.mask is not None:
-        vals = vals * C.mask
-    n = 1
-    while n < 2 * L:
-        n *= 2
-    F = np.fft.fft(vals, n=n, axis=2)
-    worst = 0.0
-    for k1 in range(K):
-        for k2 in range(k1, K):
-            spec = (F[k1] * np.conj(F[k2])).sum(axis=0)
-            corr = np.fft.ifft(spec)  # index tau for tau >= 0, n - tau for tau < 0
-            mags = np.abs(corr)
-            if k1 == k2:
-                mags[0] = abs(corr[0] - peak)
-            keep = np.concatenate([mags[:L], mags[n - L + 1 :]])
-            worst = max(worst, float(keep.max()))
-    return worst < tol_factor * peak, worst
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +242,7 @@ def necessity_probe(cs: ConstructionSpec, full_scan_fallback: bool = True) -> Pr
     for tau in taus:
         for k1 in range(C.K):
             for k2 in range(C.K):
-                counts = _cell_counts(C, k1, k2, tau)
+                counts = _counts_at_shift(*_row_arrays(C, k1), *_row_arrays(C, k2), q, tau)
                 if not zero_count_rows(counts[None, :], q)[0]:
                     return ProbeResult(
                         found=True,

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 import ccckit as ck
+from ccckit.exact_corr import _stack_row
 from ccckit.qary import is_permutation_mod
 
 
@@ -65,6 +67,37 @@ def rand_root_sequence(rng: random.Random, q: int, L: int, holes: bool = False) 
         else:
             ents.append(rng.randrange(q))
     return ck.RootSequence(q, tuple(ents))
+
+
+def counts_via_convolution(row1, row2) -> np.ndarray:
+    """(2L-1, q) counts for tau = -(L-1) .. L-1 via generating polynomials.
+
+    The test oracle for the shiftwise counts, independent of them: each
+    sequence becomes a polynomial in z with one-hot group-ring coefficients,
+    and the product A(z) * conj(B)(1/z) is expanded with integer convolutions
+    per residue pair.  Row index tau + L - 1 holds the counts at shift tau.
+    """
+    e1, m1, q = _stack_row(row1)
+    e2, m2, _ = _stack_row(row2)
+    M, L = e1.shape
+    out = np.zeros((2 * L - 1, q), dtype=np.int64)
+    for m in range(M):
+        hot1 = np.zeros((q, L), dtype=np.int64)
+        hot2 = np.zeros((q, L), dtype=np.int64)
+        idx = np.arange(L)
+        hot1[e1[m], idx] = m1[m].astype(np.int64)
+        hot2[e2[m], idx] = m2[m].astype(np.int64)
+        for r1 in range(q):
+            if not hot1[r1].any():
+                continue
+            for r2 in range(q):
+                if not hot2[r2].any():
+                    continue
+                # convolve pairs hot1[t] with hot2[t + (L-1-u)]; reversing maps
+                # output index u back to shift tau = t' - t with tau + L - 1 = u
+                conv = np.convolve(hot1[r1], hot2[r2][::-1])[::-1]
+                out[:, (r1 - r2) % q] += conv
+    return out
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import ccckit as ck
 from ccckit import example72
 from ccckit.exact_corr import GroupRingElement, cyclotomic, is_zero_exact
 from ccckit.qary import constant_table, monomials_upto
-from ccckit.verify import verify_ccc_sampled
 
 from conftest import rand_perm_table, rand_table, rand_theorem1_spec, rand_theorem2_spec
 
@@ -123,16 +122,16 @@ def test_criterion_06_corollary3_30_180():
         ),
     )
     C = ck.build_code_set(spec)
-    gram_ok, worst = ck.gram_check_float(C)
-    sampled = verify_ccc_sampled(C, cells=200, seed=606)
+    approx = ck.verify_ccc(C, mode="float")
+    exact = ck.verify_ccc(C)
     ok = (
         (C.K, C.L, C.q) == (30, 180, 30)
-        and gram_ok
-        and sampled.is_ccc
-        and sampled.shifts_tested >= 200
+        and approx.is_ccc
+        and exact.is_ccc
+        and exact.shifts_tested >= 200
     )
-    report(6, ok, f"(30,180) set: float Gram worst dev {worst:.2e}, "
-                  f"{sampled.shifts_tested} sampled cells exact-zero off-peak")
+    report(6, ok, f"(30,180) set: float Gram check {approx.total_violations} flagged cells, "
+                  f"{exact.total_violations} of all {exact.shifts_tested} cells nonzero off-peak")
 
 
 def test_criterion_07_lemma1_equivalence():

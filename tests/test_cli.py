@@ -59,7 +59,7 @@ def test_verify_json_reports_kernel(tmp_path, capsys):
     assert 0 < report["rounding_bound"] < 0.5
     assert main(["verify", str(out), "--mode", "float", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert (report["kernel"], report["rounding_bound"]) == ("shiftwise", 0.0)
+    assert (report["kernel"], report["rounding_bound"]) == ("fft-gram", 0.0)
 
 
 @pytest.mark.parametrize(
@@ -213,3 +213,27 @@ def test_spec_from_config_corollary1_example72_equivalent(tmp_path):
 
     C = build_from_config(cfg)
     assert C.same_codes(example72.build())
+
+
+CORRUPT_THEOREM1_32 = {"kind": "theorem1", "q": 3, "m": 2, "seed": 1}
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [{"kind": "theorem1", "q": 2, "m": 2}],
+        {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 1}], "n": [1],
+         "corrupt": {"constant": 0}},
+        dict(CORRUPT_THEOREM1_32, corrupt={"block": 3, "constant": 0}),
+        dict(CORRUPT_THEOREM1_32, corrupt={"chain": 9, "constant": 0}),
+        dict(CORRUPT_THEOREM1_32, q=float("inf"), corrupt={"constant": 0}),
+        {"kind": "kronecker", "inputs": [0, 1], "corrupt": {"constant": 0}},
+    ],
+    ids=["top_level_list", "n_shorter_than_blocks", "corrupt_block_3", "corrupt_chain_9", "q_infinity",
+         "kronecker_inputs_not_paths"],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, payload):
+    path = write(tmp_path / "bad.json", payload)
+    assert main([command, path]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from ccckit.exact_corr import (
     accf_exact,
     code_accf,
     correlation_profile,
-    counts_via_convolution,
     cyclotomic,
     is_zero_exact,
     poly_divmod_exact,
@@ -20,7 +19,7 @@ from ccckit.exact_corr import (
 from ccckit.qary import restriction_values
 from ccckit.waveform import RootSequence, psi, psi_restricted
 
-from conftest import rand_root_sequence
+from conftest import counts_via_convolution, rand_root_sequence
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ def blocks(*pairs):
 
 
 def shiftwise(C, max_violations=10**6):
-    cells, shifts = verify._shiftwise_cells(C, "exact")
+    cells, shifts = verify._shiftwise_cells(C)
     cells.sort(key=lambda cell: cell[:3])
     return verify._report(C, "exact", cells[:max_violations], len(cells), shifts, "shiftwise", 0.0)
+
+
+def characters(q):
+    return len(exact_corr.character_basis(q)[0])
 
 
 def cells_of(report):
@@ -122,17 +126,19 @@ def test_masked_sets_match_shiftwise(cfg):
     assert not assert_same_as_shiftwise(with_holes(C, 3, frac=0.02)).is_ccc
 
 
+CORRUPTED_CONFIGS = [
+    {"kind": "theorem1", "q": 6, "m": 2, "seed": 1,
+     "corrupt": {"block": 0, "chain": 0, "which": "f", "table": [0, 0, 1, 1, 2, 2]}},
+    {"kind": "corollary1", "q": 3, "m": 4, "n": 1, "seed": 2,
+     "corrupt": {"block": 0, "chain": 0, "which": "fp", "constant": 1}},
+    {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0], "seed": 3,
+     "corrupt": {"block": 1, "chain": 0, "which": "f", "table": [0, 0, 0, 1, 1, 1]}},
+]
+
+
 def test_corrupted_specs_with_hundreds_of_violations():
-    cfgs = [
-        {"kind": "theorem1", "q": 6, "m": 2, "seed": 1,
-         "corrupt": {"block": 0, "chain": 0, "which": "f", "table": [0, 0, 1, 1, 2, 2]}},
-        {"kind": "corollary1", "q": 3, "m": 4, "n": 1, "seed": 2,
-         "corrupt": {"block": 0, "chain": 0, "which": "fp", "constant": 1}},
-        {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0], "seed": 3,
-         "corrupt": {"block": 1, "chain": 0, "which": "f", "table": [0, 0, 0, 1, 1, 1]}},
-    ]
     most = 0
-    for cfg in cfgs:
+    for cfg in CORRUPTED_CONFIGS:
         C = ck.build_code_set(spec_from_config(cfg))
         most = max(most, assert_same_as_shiftwise(C).total_violations)
     assert most >= 100
@@ -152,9 +158,9 @@ def test_trivial_set_uses_shiftwise():
 def test_small_tiles_cover_every_cell(monkeypatch):
     """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
-    assert exact_corr.plan_tiles(7, 5, 12, 30)[:2] == (1, 1)
+    assert exact_corr.plan_tiles(7, 5, 12, characters(30))[:2] == (1, 1)
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 40_000)
-    k, mc, _ = exact_corr.plan_tiles(7, 5, 12, 6)
+    k, mc, _ = exact_corr.plan_tiles(7, 5, 12, characters(6))
     assert 1 < k < 7 and 7 % k and 1 < mc < 5
     rng = np.random.default_rng(11)
     for q in (6, 30):
@@ -216,7 +222,7 @@ def test_kernel_disagreeing_with_recount_raises(monkeypatch):
 
 def test_tile_plan_stays_within_budget():
     for K, M, L, q in [(216, 216, 2592, 6), (60, 60, 1800, 30), (30, 30, 180, 30), (6, 6, 1296, 6)]:
-        k, mc, nbytes = exact_corr.plan_tiles(K, M, L, q)
+        k, mc, nbytes = exact_corr.plan_tiles(K, M, L, characters(q))
         assert 1 <= k <= K and 1 <= mc <= M
         assert nbytes <= exact_corr.TILE_BYTES
 
@@ -237,3 +243,75 @@ def test_empty_set_is_refused():
         ck.verify_ccc(ck.CodeSet(2, np.zeros((0, 0, 0), dtype=np.int64)))
     with pytest.raises(ValueError):
         ck.verify_ccc(ck.CodeSet(2, np.zeros((2, 2, 0), dtype=np.int64)))
+
+
+# ---------------------------------------------------------------------------
+# float mode against the float test it replaced
+
+
+def float_oracle_cells(C):
+    """Integer shiftwise counts -> value at zeta_q -> |Theta| >= FLOAT_ZERO_FACTOR * M * L."""
+    peak = C.M * C.L
+    cells = []
+    for a in range(C.K):
+        for b in range(C.K):
+            counts = exact_corr.pair_counts_nonneg_shifts(*verify._row_arrays(C, a), *verify._row_arrays(C, b), C.q)
+            target = counts.copy()
+            if a == b:
+                target[0, 0] -= peak
+            ok = np.abs(exact_corr.counts_to_complex(target, C.q)) < verify.FLOAT_ZERO_FACTOR * peak
+            cells += [(a, b, int(tau), tuple(int(c) for c in counts[tau])) for tau in np.flatnonzero(~ok)]
+    return cells
+
+
+def assert_float_matches_oracle(C):
+    got = ck.verify_ccc(C, mode="float", max_violations=10**6)
+    cells = float_oracle_cells(C)
+    assert (got.mode, got.kernel, got.rounding_bound) == ("float", "fft-gram", 0.0)
+    assert (got.is_ccc, got.total_violations, got.shifts_tested) == (not cells, len(cells), C.K * C.K * C.L)
+    assert cells_of(got) == cells
+    return got
+
+
+@pytest.mark.parametrize("cfg", FAMILY_CONFIGS, ids=config_id)
+def test_float_mode_matches_oracle_on_families(cfg):
+    C = ck.build_code_set(spec_from_config(dict(cfg, seed=1)))
+    assert assert_float_matches_oracle(C).is_ccc
+    assert not assert_float_matches_oracle(with_flips(C, 1)).is_ccc
+
+
+def test_float_mode_matches_oracle_on_products_masks_and_corruptions():
+    def build(q, seed):
+        return ck.build_code_set(spec_from_config({"kind": "theorem1", "q": q, "m": 2, "seed": seed}))
+
+    for a, b in [(build(2, 5), build(5, 6)), (build(4, 7), build(3, 8))]:
+        ab = ck.kronecker_compose(a, b)
+        assert assert_float_matches_oracle(ab).is_ccc
+        assert not assert_float_matches_oracle(with_flips(ab, ab.q)).is_ccc
+    for cfg in [{"kind": "theorem1", "q": 6, "m": 2}, {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2)), "n": [1, 0]}]:
+        C = ck.build_code_set(spec_from_config(dict(cfg, seed=3)))
+        assert not assert_float_matches_oracle(with_holes(C, 3, frac=0.02)).is_ccc
+    most = 0
+    for cfg in CORRUPTED_CONFIGS:
+        most = max(most, assert_float_matches_oracle(ck.build_code_set(spec_from_config(cfg))).total_violations)
+    assert most >= 100
+
+
+def test_float_mode_matches_oracle_at_q1():
+    assert assert_float_matches_oracle(ck.trivial_code_set()).is_ccc
+    C = ck.CodeSet(1, np.zeros((3, 2, 5), dtype=np.int64))
+    assert not assert_float_matches_oracle(C).is_ccc
+    assert not assert_float_matches_oracle(with_holes(C, 1, frac=0.3)).is_ccc
+
+
+@pytest.mark.parametrize("budget", [1, 40_000])
+def test_float_mode_matches_oracle_on_small_tiles(monkeypatch, budget):
+    monkeypatch.setattr(exact_corr, "TILE_BYTES", budget)
+    rng = np.random.default_rng(budget)
+    for q in (6, 30):
+        C = ck.CodeSet(q, rng.integers(0, q, size=(7, 5, 12)))
+        assert_float_matches_oracle(C)
+        assert_float_matches_oracle(with_holes(C, q))
+    C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 2}))
+    assert assert_float_matches_oracle(C).is_ccc
+    assert not assert_float_matches_oracle(with_flips(C, 2)).is_ccc
