@@ -27,8 +27,8 @@ a = ck.RootSequence(2, (0, 0, 0, 1))   # +, +, +, -
 b = ck.RootSequence(2, (0, 1, 0, 0))   # +, -, +, +
 print("\nGolay pair behaviour: per-sequence autocorrelations cancel")
 for tau in range(4):
-    ga = ck.accf_exact(a, a, tau)
-    gb = ck.accf_exact(b, b, tau)
+    ga = ck.code_accf(a, a, tau)
+    gb = ck.code_accf(b, b, tau)
     total = ga + gb
     print(f"  tau={tau}: counts {ga.counts} + {gb.counts} -> {total.counts}"
           f"  zero={ck.is_zero_exact(total)}")

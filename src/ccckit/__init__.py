@@ -24,7 +24,6 @@ from .construct import (
 from .exact_corr import (
     CorrelationProfile,
     GroupRingElement,
-    accf_exact,
     code_accf,
     correlation_profile,
     cyclotomic,

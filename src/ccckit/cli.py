@@ -41,7 +41,7 @@ from .construct import (
     theorem1_spec,
     theorem2_spec,
 )
-from .exact_corr import correlation_profile
+from .exact_corr import counts_to_complex, pair_counts
 from .mixed_radix import DomainSpec
 from .qary import SpecError
 from .verify import necessity_probe, verify_ccc
@@ -78,7 +78,12 @@ def _per_block(cfg, key, count):
     return raw
 
 
-def _int_key_dict(raw: dict) -> dict:
+def _offsets(raw):
+    """An offsets config, a JSON object with integer keys, as a dict; None when absent."""
+    if raw is None:
+        return None
+    if not isinstance(raw, dict):
+        raise ConfigError("offsets must be a JSON object")
     return {int(k): v for k, v in raw.items()}
 
 
@@ -115,8 +120,8 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
         else:
             g = _maybe_per_restriction(g_raw, lambda ts: tuple(tuple(int(v) for v in t) for t in ts))
         offsets = cfg.get("offsets", "auto")
-        if isinstance(offsets, dict):
-            offsets = _int_key_dict(offsets)
+        if offsets != "auto":
+            offsets = _offsets(offsets)
         spec = corollary1_spec(q, m, n, J, pi, h, hp, g, offsets)
     elif kind in ("theorem2", "corollary3"):
         domain = DomainSpec.from_json(cfg["blocks"])
@@ -190,12 +195,12 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
                     couplings.append((rng.randrange(q), _rand_table(rng, q), _rand_table(rng, q)))
                 else:
                     c = coup_cfg[i]
+                    if not isinstance(c, dict):
+                        raise ConfigError("each coupling must be a JSON object")
                     couplings.append(
                         (int(c.get("lam", 0)), tuple(c["f"]), tuple(c["h"]))
                     )
-            offsets = cfg.get("offsets")
-            if offsets is not None:
-                offsets = _int_key_dict(offsets)
+            offsets = _offsets(cfg.get("offsets"))
             spec = corollary3_spec(domain, J, pis, chains, gs, couplings, offsets)
     else:
         raise ConfigError(f"unknown construction kind {kind!r}")
@@ -274,21 +279,14 @@ def cmd_profile(args) -> int:
     codes = load_code_set(args.codeset)
     if not (0 <= args.k1 < codes.K and 0 <= args.k2 < codes.K):
         raise ConfigError(f"code indices must lie in [0, {codes.K})")
-    prof = correlation_profile(codes.code(args.k1), codes.code(args.k2))
-    values = prof.complex_values()
+    q, taus = codes.q, range(1 - codes.L, codes.L)
+    counts = pair_counts(*codes.row(args.k1), *codes.row(args.k2), q, taus)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["tau"] + [f"count_{j}" for j in range(prof.q)] + ["re", "im", "magnitude"]
-        )
-        for row, tau in enumerate(prof.taus):
-            val = values[row]
-            writer.writerow(
-                [tau]
-                + [int(c) for c in prof.counts[row]]
-                + [f"{val.real:.12g}", f"{val.imag:.12g}", f"{abs(val):.12g}"]
-            )
-    print(f"wrote {2 * prof.L - 1} profile rows to {args.out}")
+        writer.writerow(["tau"] + [f"count_{j}" for j in range(q)] + ["re", "im", "magnitude"])
+        for tau, row, val in zip(taus, counts.tolist(), counts_to_complex(counts, q)):
+            writer.writerow([tau] + row + [f"{val.real:.12g}", f"{val.imag:.12g}", f"{abs(val):.12g}"])
+    print(f"wrote {len(taus)} profile rows to {args.out}")
     return 0
 
 

@@ -150,6 +150,10 @@ class CodeSet:
     def code(self, k: int) -> list[RootSequence]:
         return [self.sequence(k, m) for m in range(self.M)]
 
+    def row(self, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """Code k as arrays: exps[k] (M, L) and mask[k], or None when every entry is defined."""
+        return self.exps[k], None if self.mask is None else self.mask[k]
+
     def same_codes(self, other: "CodeSet") -> bool:
         """Equality of the code arrays (metadata ignored, holes compare as holes)."""
         if not isinstance(other, CodeSet):

@@ -7,9 +7,7 @@ Three representations cooperate here:
 * ``MonomialForm`` -- a linear combination of monomials x^e with exponent
   vectors e drawn from the domain.  A monomial only carries factors for the
   strictly positive exponents, so the all-zero exponent vector is the constant
-  monomial 1.  (``power_zero_convention`` documents the 0^0 = 0 convention for
-  explicit powers; it never arises in monomial evaluation because zero
-  exponents contribute no factor.)
+  monomial 1.
 * ``GeneralizedQuadraticSpec`` -- the structured family of functions whose
   restrictions are chains of products of univariate maps plus per-variable
   terms, per-block coupling terms, and per-restriction offsets.  Univariate
@@ -53,18 +51,6 @@ def check_table(t, q: int) -> tuple[int, ...]:
     if any(not 0 <= v < q for v in t):
         raise SpecError(f"table entries must lie in [0, {q})")
     return t
-
-
-def power_zero_convention(base: int, exp: int, q: int) -> int:
-    """base**exp mod q with the convention 0**0 = 0 (and x**0 = 1 for x != 0).
-
-    Note the convention makes x**0 a non-constant map.  Monomial evaluation
-    never calls this with exp == 0: zero exponents contribute no factor, so
-    the empty monomial is the constant 1 (required by the worked examples).
-    """
-    if exp == 0:
-        return 0 if base == 0 else 1
-    return pow(base, exp, q)
 
 
 def is_permutation_mod(t, p: int) -> bool:

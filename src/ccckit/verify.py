@@ -32,10 +32,9 @@ import numpy as np
 from .construct import CodeSet, ConstructionSpec, build_code_set
 from .exact_corr import (
     GroupRingElement,
-    _counts_at_shift,
     fft_gram_bound,
     fft_gram_cells,
-    pair_counts_nonneg_shifts,
+    pair_counts,
     zero_count_rows,
 )
 from .qary import is_permutation_mod
@@ -96,10 +95,6 @@ class VerifyReport:
         }
 
 
-def _row_arrays(C: CodeSet, k: int):
-    return C.exps[k], None if C.mask is None else C.mask[k]
-
-
 def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> VerifyReport:
     """Check the full CCC property of a code set.
 
@@ -127,16 +122,15 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
         for key in keys.tolist():
             ab, tau = divmod(key, L)
             a, b = divmod(ab, K)
-            counts = _counts_at_shift(*_row_arrays(C, a), *_row_arrays(C, b), q, tau)
+            counts = pair_counts(*C.row(a), *C.row(b), q, (tau,))
             target = counts.copy()
             if a == b and tau == 0:
-                target[0] -= M * L
-            if zero_count_rows(target[None, :], q)[0]:
+                target[0, 0] -= M * L
+            if zero_count_rows(target, q)[0]:
                 raise ArithmeticError(f"fft-gram kernel flagged cell ({a},{b},{tau}), which recounts to zero")
-            bad_cells.append((a, b, tau, counts))
+            bad_cells.append((a, b, tau, counts[0]))
         return _report(C, mode, bad_cells, total, K * K * L, "fft-gram", bound)
     bad_cells, shifts = _shiftwise_cells(C)
-    bad_cells.sort(key=lambda cell: cell[:3])
     return _report(C, mode, bad_cells[:max_violations], len(bad_cells), shifts, "shiftwise", 0.0)
 
 
@@ -162,23 +156,18 @@ def _report(C: CodeSet, mode, cells, total, shifts, kernel, bound) -> VerifyRepo
 
 
 def _shiftwise_cells(C: CodeSet) -> tuple[list, int]:
-    """(bad cells (a, b, tau, counts), cells tested): one bincount per pair and shift."""
+    """(bad cells (a, b, tau, counts) in key order, cells tested): one bincount per pair and shift."""
     K, M, L, q = C.K, C.M, C.L, C.q
-    peak = M * L
     bad_cells: list[tuple[int, int, int, np.ndarray]] = []
-    shifts = 0
-    for k1 in range(K):
-        for k2 in range(k1, K):
-            ordered = [(k1, k2)] if k1 == k2 else [(k1, k2), (k2, k1)]
-            for a, b in ordered:
-                counts = pair_counts_nonneg_shifts(*_row_arrays(C, a), *_row_arrays(C, b), q)
-                shifts += L
-                target = counts.copy()
-                if a == b:
-                    target[0, 0] -= peak  # demand exactly M*L at shift 0
-                for tau in np.flatnonzero(~zero_count_rows(target, q)):
-                    bad_cells.append((a, b, int(tau), counts[tau]))
-    return bad_cells, shifts
+    for a in range(K):
+        for b in range(K):
+            counts = pair_counts(*C.row(a), *C.row(b), q)
+            target = counts.copy()
+            if a == b:
+                target[0, 0] -= M * L  # demand exactly M*L at shift 0
+            for tau in np.flatnonzero(~zero_count_rows(target, q)):
+                bad_cells.append((a, b, int(tau), counts[tau]))
+    return bad_cells, K * K * L
 
 
 # ---------------------------------------------------------------------------
@@ -238,18 +227,19 @@ def necessity_probe(cs: ConstructionSpec, full_scan_fallback: bool = True) -> Pr
         raise ValueError("necessity_probe expects a spec flagged corrupted")
     C = build_code_set(cs)
     q = C.q
+    rows = [C.row(k) for k in range(C.K)]
     taus = witness_shifts(cs)
     for tau in taus:
-        for k1 in range(C.K):
-            for k2 in range(C.K):
-                counts = _counts_at_shift(*_row_arrays(C, k1), *_row_arrays(C, k2), q, tau)
-                if not zero_count_rows(counts[None, :], q)[0]:
+        for k1, row1 in enumerate(rows):
+            for k2, row2 in enumerate(rows):
+                counts = pair_counts(*row1, *row2, q, (tau,))
+                if not zero_count_rows(counts, q)[0]:
                     return ProbeResult(
                         found=True,
                         tau=tau,
                         k1=k1,
                         k2=k2,
-                        element=GroupRingElement(q, tuple(int(c) for c in counts)),
+                        element=GroupRingElement(q, tuple(counts[0].tolist())),
                         scanned_witness_shifts=tuple(taus),
                     )
     if full_scan_fallback:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qary import QaryFunction, RestrictedFunction, restrict
+from .qary import QaryFunction, restrict
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,9 @@ class RootSequence:
     entries: tuple
 
     def __post_init__(self):
+        for e in self.entries:
+            if e is not None and (isinstance(e, bool) or not isinstance(e, (int, np.integer))):
+                raise ValueError(f"exponents must be integers or None, got {e!r}")
         ents = tuple(None if e is None else int(e) for e in self.entries)
         if self.q < 1:
             raise ValueError("modulus must be >= 1")
@@ -67,41 +70,5 @@ def psi(f: QaryFunction) -> RootSequence:
 
 def psi_restricted(f: QaryFunction, J, c) -> RootSequence:
     """Exponent sequence of f on N_c, literal zero (None) off the support."""
-    view = restrict(f, J, c)
-    return psi_of_restriction(view)
-
-
-def psi_of_restriction(view: RestrictedFunction) -> RootSequence:
-    support = set(int(i) for i in view.support)
-    f = view.base
-    ents = tuple(int(f.table[x]) if x in support else None for x in range(len(f.table)))
-    return RootSequence(f.q, ents)
-
-
-def to_csv_fields(seq: RootSequence) -> list[str]:
-    """Exponents as CSV cells; a literal zero entry becomes the empty field."""
-    return ["" if e is None else str(e) for e in seq.entries]
-
-
-def from_csv_fields(q: int, fields) -> RootSequence:
-    return RootSequence(q, tuple(None if f == "" else int(f) for f in fields))
-
-
-def superpose(parts) -> RootSequence:
-    """Sum of sequences with pairwise disjoint supports (entrywise union)."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("nothing to superpose")
-    q = parts[0].q
-    L = len(parts[0])
-    if any(p.q != q or len(p) != L for p in parts):
-        raise ValueError("superpose needs a common modulus and length")
-    ents: list = [None] * L
-    for part in parts:
-        for i, e in enumerate(part.entries):
-            if e is None:
-                continue
-            if ents[i] is not None:
-                raise ValueError(f"supports overlap at position {i}")
-            ents[i] = e
-    return RootSequence(q, tuple(ents))
+    support = set(restrict(f, J, c).support.tolist())
+    return RootSequence(f.q, tuple(int(v) if x in support else None for x, v in enumerate(f.table)))

@@ -307,7 +307,7 @@ def test_exps_dtype_boundaries():
 def test_shift_counter_widens_unsigned_exponents():
     # 0 - 2 wraps to 254 in uint8, and 254 % 3 = 2; the true difference is 1 mod 3
     e1, e2 = np.array([[0]], dtype=np.uint8), np.array([[2]], dtype=np.uint8)
-    assert exact_corr._counts_at_shift(e1, None, e2, None, 3, 0).tolist() == [0, 1, 0]
+    assert exact_corr.pair_counts(e1, None, e2, None, 3, (0,)).tolist() == [[0, 1, 0]]
 
 
 # ---------------------------------------------------------------------------

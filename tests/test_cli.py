@@ -216,6 +216,9 @@ def test_spec_from_config_corollary1_example72_equivalent(tmp_path):
 
 
 CORRUPT_THEOREM1_32 = {"kind": "theorem1", "q": 3, "m": 2, "seed": 1}
+CORRUPT_COROLLARY1 = {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "corrupt": {"constant": 0}}
+CORRUPT_COROLLARY3 = {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 1}],
+                      "corrupt": {"constant": 0}}
 
 
 @pytest.mark.parametrize("command", ["build", "probe"])
@@ -229,9 +232,15 @@ CORRUPT_THEOREM1_32 = {"kind": "theorem1", "q": 3, "m": 2, "seed": 1}
         dict(CORRUPT_THEOREM1_32, corrupt={"chain": 9, "constant": 0}),
         dict(CORRUPT_THEOREM1_32, q=float("inf"), corrupt={"constant": 0}),
         {"kind": "kronecker", "inputs": [0, 1], "corrupt": {"constant": 0}},
+        dict(CORRUPT_COROLLARY3, couplings=[5]),
+        dict(CORRUPT_COROLLARY3, offsets=[1, 2]),
+        dict(CORRUPT_COROLLARY1, offsets=[1]),
+        dict(CORRUPT_COROLLARY1, offsets=7),
+        dict(CORRUPT_COROLLARY1, offsets="x"),
     ],
     ids=["top_level_list", "n_shorter_than_blocks", "corrupt_block_3", "corrupt_chain_9", "q_infinity",
-         "kronecker_inputs_not_paths"],
+         "kronecker_inputs_not_paths", "coupling_not_object", "corollary3_offsets_list",
+         "corollary1_offsets_list", "corollary1_offsets_int", "corollary1_offsets_string"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path / "bad.json", payload)

@@ -7,7 +7,6 @@ import ccckit as ck
 from ccckit import example72
 from ccckit.exact_corr import (
     GroupRingElement,
-    accf_exact,
     code_accf,
     correlation_profile,
     cyclotomic,
@@ -110,14 +109,14 @@ def test_conjugate():
 
 def test_accf_zero_shift_self():
     seq = psi(example72.function())
-    g = accf_exact(seq, seq, 0)
+    g = code_accf(seq, seq, 0)
     assert g.counts[0] == 72 and sum(g.counts) == 72
     assert abs(g.to_complex() - 72) < 1e-9
 
 
 def test_accf_hand_example():
     a = RootSequence(2, (0, 0, 0, 1))  # (+, +, +, -)
-    g = accf_exact(a, a, 1)
+    g = code_accf(a, a, 1)
     assert g.counts == (2, 1)
     assert abs(g.to_complex() - 1) < 1e-12
 
@@ -138,7 +137,7 @@ def test_accf_against_bruteforce(rng):
         a = rand_root_sequence(rng, q, L, holes=True)
         b = rand_root_sequence(rng, q, L, holes=True)
         for tau in range(-(L - 1), L):
-            g = accf_exact(a, b, tau)
+            g = code_accf(a, b, tau)
             assert abs(g.to_complex() - _accf_complex_oracle(a, b, tau)) < 1e-9
             assert sum(g.counts) <= L - abs(tau)
 
@@ -146,7 +145,7 @@ def test_accf_against_bruteforce(rng):
 def test_accf_restricted_support_counts():
     f = example72.function()
     seq = psi_restricted(f, (1,), (0,))
-    g = accf_exact(seq, seq, 1)
+    g = code_accf(seq, seq, 1)
     # support pairs (t, t+1) both defined: only the (4n, 4n+1) pairs, 18 of them
     assert sum(g.counts) == 18
     assert abs(g.to_complex() - _accf_complex_oracle(seq, seq, 1)) < 1e-9
@@ -159,17 +158,17 @@ def test_accf_conjugate_symmetry(rng):
         a = rand_root_sequence(rng, q, L, holes=True)
         b = rand_root_sequence(rng, q, L, holes=True)
         for tau in range(L):
-            assert accf_exact(a, b, -tau).counts == accf_exact(b, a, tau).conjugate().counts
+            assert code_accf(a, b, -tau).counts == code_accf(b, a, tau).conjugate().counts
 
 
 def test_accf_errors():
     a = RootSequence(2, (0, 1))
     with pytest.raises(ValueError):
-        accf_exact(a, RootSequence(3, (0, 1)), 0)
+        code_accf(a, RootSequence(3, (0, 1)), 0)
     with pytest.raises(ValueError):
-        accf_exact(a, RootSequence(2, (0, 1, 0)), 0)
+        code_accf(a, RootSequence(2, (0, 1, 0)), 0)
     with pytest.raises(ValueError):
-        accf_exact(a, a, 2)
+        code_accf(a, a, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +247,15 @@ def test_profile_empty_overlap_is_zero():
     assert prof.element(-2).counts == (0, 0, 1, 0)  # exponent 0 - 2 mod 4
 
 
+def test_profile_element_rejects_out_of_range_shifts():
+    a = RootSequence(4, (0, 1, 3))
+    prof = correlation_profile([a], [a])
+    assert prof.element(-2).counts == (0, 0, 0, 1) and prof.element(2).counts == (0, 1, 0, 0)
+    for tau in (-3, 3):
+        with pytest.raises(ValueError, match="out of range for length 3"):
+            prof.element(tau)
+
+
 def test_restricted_decomposition_exhaustive(rng):
     # Theta(psi f, psi g)(tau) = sum over (c1, c2) of the restricted correlations
     d = ck.DomainSpec(((2, 2), (3, 1)))
@@ -263,5 +271,5 @@ def test_restricted_decomposition_exhaustive(rng):
         total = GroupRingElement.zero(6)
         for pf in parts_f:
             for pg in parts_g:
-                total = total + accf_exact(pf, pg, tau)
-        assert total.counts == accf_exact(full_f, full_g, tau).counts
+                total = total + code_accf(pf, pg, tau)
+        assert total.counts == code_accf(full_f, full_g, tau).counts

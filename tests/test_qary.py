@@ -13,7 +13,6 @@ from ccckit.qary import (
     identity_table,
     is_permutation_mod,
     monomials_upto,
-    power_zero_convention,
     restriction_index,
     restriction_values,
     zero_function,
@@ -52,13 +51,6 @@ def test_function_space_size_is_q_pow_monomials():
 def test_constant_monomial_is_one_everywhere():
     mf = MonomialForm(D72, {(0, 0, 0, 0, 0): 4})
     assert np.array_equal(mf.table(), np.full(72, 4))
-
-
-def test_power_zero_convention():
-    assert power_zero_convention(0, 0, 6) == 0
-    assert power_zero_convention(3, 0, 6) == 1
-    assert power_zero_convention(0, 2, 6) == 0
-    assert power_zero_convention(2, 2, 6) == 4
 
 
 def test_hamming_degree():

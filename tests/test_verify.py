@@ -57,6 +57,13 @@ def test_witness_shift_table():
     assert witness_shifts(t2) == [2, 24, 12]
 
 
+def assert_probe_cell_recounts(bad, result):
+    """The reported element is the exact value of the reported cell, by the convolution oracle."""
+    C = ck.build_code_set(bad)
+    conv = counts_via_convolution(C.code(result.k1), C.code(result.k2))
+    assert result.element.counts == tuple(conv[result.tau + C.L - 1].tolist())
+
+
 @pytest.mark.parametrize(
     "q,m,slot,tau",
     [(3, 2, 0, 6), (4, 3, 1, 48), (4, 3, 0, 60)],
@@ -69,6 +76,7 @@ def test_necessity_probe_constant_corruption(q, m, slot, tau, rng):
     assert result.tau == tau
     assert not result.used_full_scan
     assert not is_zero_exact(result.element)
+    assert_probe_cell_recounts(bad, result)
 
 
 def test_necessity_probe_theorem2_block1(rng):
@@ -76,6 +84,7 @@ def test_necessity_probe_theorem2_block1(rng):
     bad = ck.corrupt_spec(spec, 0, 0, "f", constant_table(6))
     result = ck.necessity_probe(bad)
     assert result.found and result.tau == 2  # 2^2 - 2^1 inside block 1
+    assert_probe_cell_recounts(bad, result)
 
 
 def test_necessity_probe_rejects_valid_spec(rng):

@@ -4,7 +4,7 @@ import pytest
 from ccckit import example72
 from ccckit.mixed_radix import DomainSpec
 from ccckit.qary import MonomialForm, restriction_values, zero_function
-from ccckit.waveform import RootSequence, eta, psi, psi_restricted, superpose
+from ccckit.waveform import RootSequence, eta, psi, psi_restricted
 
 
 def test_eta_reference_sequence():
@@ -62,23 +62,16 @@ def test_restriction_support_sizes_and_superposition():
     supports = [set(p.support) for p in parts]
     assert set().union(*supports) == set(range(72))
     assert sum(len(s) for s in supports) == 72
-    assert superpose(parts).entries == psi(f).entries
+    full = psi(f).entries
+    for p in parts:
+        assert all(e == (full[i] if i in p.support else None) for i, e in enumerate(p.entries))
 
 
-def test_superpose_rejects_overlap():
-    f = example72.function()
-    part = psi_restricted(f, (1,), (0,))
-    with pytest.raises(ValueError):
-        superpose([part, part])
-
-
-def test_csv_fields_roundtrip():
-    from ccckit.waveform import from_csv_fields, to_csv_fields
-
-    seq = RootSequence(6, (0, None, 5, None))
-    fields = to_csv_fields(seq)
-    assert fields == ["0", "", "5", ""]
-    assert from_csv_fields(6, fields).entries == seq.entries
+def test_root_sequence_rejects_non_integer_exponents():
+    for bad in (0.7, 1.0, True, np.float64(1), np.bool_(True), "1"):
+        with pytest.raises(ValueError, match="integers"):
+            RootSequence(3, (0, bad, 2))
+    assert RootSequence(3, (np.int64(2), np.uint8(1), 0, None)).entries == (2, 1, 0, None)
 
 
 def test_root_sequence_validation():
