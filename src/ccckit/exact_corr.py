@@ -12,14 +12,15 @@ near the tolerance.  Float evaluation is provided as a prefilter/diagnostic
 only.
 
 The one exception is ``fft_gram_cells``, which zero-tests every cell of a
-code set at once.  It evaluates each cell's remainder modulo Phi_q at the
-primitive q-th roots through FFTs in float64 and rounds the remainder's
-integer coefficients.  That is exact because ``fft_gram_bound`` proves the
-error below 1/2 (FFT error after Percival, Math. Comp. 72 (2003) 387-395,
-times ||V^{-1}||_inf of the character Vandermonde); callers check the bound
-first and fall back to the integer shiftwise counts when it fails.  Its
-buffers fit one fixed budget, ``TILE_BYTES``.  Evaluated at the one
-character j = 1 against a magnitude threshold, it is also the advisory
+code set at once.  It evaluates each cell at the characters zeta -> zeta^j,
+j a unit <= q/2, through FFTs in float64 and calls the cell nonzero when
+some |Theta_j| >= 1/2.  That is exact: a nonzero cell has a nonzero integer
+norm, the product of its images over all units j, so one image has modulus
+>= 1, and ``fft_gram_bound`` proves every computed image within 1/2 of the
+true one (FFT error after Percival, Math. Comp. 72 (2003) 387-395).  Callers
+check the bound first and fall back to the integer shiftwise counts when it
+fails.  Its buffers fit one fixed budget, ``TILE_BYTES``.  Evaluated at the
+one character j = 1 against a magnitude threshold, it is also the advisory
 float check.
 
 Shift convention: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau}) over the t
@@ -301,16 +302,17 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
 # ---------------------------------------------------------------------------
 # fft-gram kernel: every cell of a code set, zero-tested through characters
 #
-# For a cell (a, b, tau) with counts c, let rho = c mod Phi_q (degree < phi(q),
-# the coefficients counts @ reduction_matrix(q) that zero_count_rows tests).
-# rho is an integer polynomial fixed by its values at the primitive q-th roots:
-# rho(zeta^j) = Theta_j(a, b)(tau), the correlation with every root raised to
-# the j-th power.  So rho = V^{-1} Theta_P with V the phi x phi Vandermonde at
-# the primitive roots, and since Theta_{q-j} = conj(Theta_j) only the units
-# j <= q/2 are evaluated.  Each Theta_j comes from the frequency-domain Gram
-# identity C(z) C^H(1/z): FFT every sequence, sum X_a conj(X_b) over the M
-# sequences at every bin, inverse FFT.  Rounding rho to integers is exact
-# while the a-priori error bound of ``fft_gram_bound`` stays below 1/2.
+# A cell (a, b, tau) holds alpha = Theta(a, b)(tau) - M*L*[a == b, tau == 0],
+# an element of Z[zeta_q].  Its image under the embedding zeta -> zeta^j is
+# Theta_j(a, b)(tau) less the same peak: the correlation with every root raised
+# to the j-th power.  If alpha != 0, its norm, the product of those images over
+# the units j, is a nonzero integer, so some image has modulus >= 1; since
+# Theta_{q-j} = conj(Theta_j), the units j <= q/2 already show it.  So alpha is
+# zero iff max_{j unit, j <= q/2} |Theta_j| < 1/2 whenever every computed
+# Theta_j is within 1/2 of the true one, which ``fft_gram_bound`` proves.
+# Each Theta_j comes from the frequency-domain Gram identity C(z) C^H(1/z):
+# FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin,
+# inverse FFT.
 
 TILE_BYTES = 3 << 18  # working set of one fft_gram_cells call (768 KiB), whatever the set size
 UNIT_ROUNDOFF = 2.0**-53
@@ -327,42 +329,16 @@ def _roots(q: int, j: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def character_basis(q: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """(js, W, w_norm, residual) for q >= 2.
+def character_units(q: int) -> tuple[int, ...]:
+    """The units j <= q/2 of Z_q, one per conjugate pair of embeddings of Z[zeta_q].
 
-    js are the units j <= q/2; rho = Re(W @ Theta_js) with W (phi, len(js))
-    the matching columns of V^{-1}, doubled where q - j != j to stand for the
-    conjugate character.  The primitive roots are the roots of Phi_q, so
-    column i of V^{-1} holds the coefficients of the Lagrange polynomial
-    Phi_q(t) / ((t - x_i) Phi_q'(x_i)), found by synthetic division.
-    w_norm is the infinity norm of the inverse actually applied (W's columns
-    together with their conjugates) and residual bounds || W_full V - I ||_inf.
+    (0,) at q = 1, where Z[zeta_1] = Z and the trivial character is the only one.
     """
-    units = [j for j in range(1, q) if math.gcd(j, q) == 1]
-    phi = len(units)
-    c = cyclotomic(q)
-    powers = np.stack([_roots(q, j) for j in units], axis=1)  # powers[e, i] = x_i^e
-    x = powers[1]
-    inv = np.empty((phi, phi), complex)
-    inv[phi - 1] = c[phi]
-    for d in range(phi - 1, 0, -1):
-        inv[d - 1] = c[d] + x * inv[d]
-    inv /= sum(k * c[k] * powers[k - 1] for k in range(1, phi + 1))
-    col = {j: inv[:, i] for i, j in enumerate(units) if 2 * j <= q}
-    full = np.stack([col[j] if 2 * j <= q else np.conj(col[q - j]) for j in units], axis=1)
-    js = [j for j in units if 2 * j <= q]
-    W = np.stack([col[j] * (1 if 2 * j == q else 2) for j in js], axis=1)
-    V = powers[:phi].T  # V[i, d] = x_i^d
-    gamma = (phi + 1) * UNIT_ROUNDOFF / (1 - (phi + 1) * UNIT_ROUNDOFF)
-    # einsum, not @: BLAS gemm work buffers would add ~0.7 MB to every verify's peak RSS
-    residual = float(np.abs(np.einsum("ij,jk->ik", full, V) - np.eye(phi)).sum(axis=1).max())
-    residual += gamma * float(np.einsum("ij,jk->ik", np.abs(full), np.abs(V)).sum(axis=1).max())
-    W.setflags(write=False)
-    return np.array(js), W, float(np.abs(full).sum(axis=1).max()), residual
+    return tuple(j for j in range(q // 2 + 1) if math.gcd(j, q) == 1)
 
 
 def fft_gram_bound(M: int, L: int, q: int) -> float:
-    """A-priori bound on |rho_hat - rho| for every coefficient of every cell.
+    """A-priori bound on |Theta_hat_j - Theta_j| for every cell and character j.
 
     u = 2^-53, gamma_n = n u / (1 - n u), N = fft_length(L), P = M L.
     * Transforms: Percival (Math. Comp. 72 (2003) 387-395) bounds the relative
@@ -374,10 +350,9 @@ def fft_gram_bound(M: int, L: int, q: int) -> float:
     * Gram and inverse transform: Cauchy-Schwarz over the N bins gives
       |Theta_hat - Theta| <= P (2 d1 + d1^2 + g (1 + d1)^2)
       + eta_F P sqrt(L) (1 + sqrt(N / L) d1) (1 + d1) (1 + g), g = sqrt 2 gamma_{M+2}.
-    * Characters to rho: times ||V^{-1}||_inf (<= 1.6 for q <= 60, 3.6 at
-      q = 210), plus the rounding of that product and the error of the
-      computed inverse applied to |rho| <= 2 P max|reduction_matrix(q)|.
-    A bound below 1/2 makes rounding rho exact; the caller checks it.
+    The root table is within ROOT_ERROR for every q, so q does not enter.
+    A bound below 1/2 makes the threshold test of fft_gram_cells exact; the
+    caller checks it.
     """
     u = UNIT_ROUNDOFF
 
@@ -385,7 +360,6 @@ def fft_gram_bound(M: int, L: int, q: int) -> float:
         return n * u / (1 - n * u)
 
     N = fft_length(L)
-    js, _, w_norm, residual = character_basis(q)
     stages = 2 * max(N.bit_length() - 1, 1)
     eta = 4 * u + gamma(4) * (math.sqrt(2) + 4 * u)
     eta_f = stages * eta / (1 - stages * eta)
@@ -394,25 +368,23 @@ def fft_gram_bound(M: int, L: int, q: int) -> float:
     peak = M * L
     theta_err = peak * (2 * d1 + d1 * d1 + g * (1 + d1) ** 2)
     theta_err += eta_f * peak * math.sqrt(L) * (1 + math.sqrt(N / L) * d1) * (1 + d1) * (1 + g)
-    apply_err = math.sqrt(2) * gamma(2 * len(js) + 2) * w_norm * (2 * peak + theta_err)
-    inverse_err = residual * 2 * peak * int(np.abs(reduction_matrix(q)).max())
-    return w_norm * theta_err + apply_err + inverse_err
+    return theta_err
 
 
-def plan_tiles(K: int, M: int, L: int, h: int) -> tuple[int, int, int]:
+def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per FFT batch, working set.
 
     A tile pairs k codes with k codes; its buffers are the two spectrum
-    batches (k, mc, N) with the root lookup that fills them, the Gram of
-    each of the h characters evaluated (h, k, k, N), one scratch (k, k, N)
-    for a Gram chunk or a rho row, and two flag arrays.  k grows first (each code's
-    spectra are recomputed once per tile it meets), then mc, while the total
-    stays within TILE_BYTES; k = mc = 1 is the floor.
+    batches (k, mc, N) with the root lookup that fills them, the Gram of the
+    character in hand (k, k, N), one scratch (k, k, N) for a Gram chunk or
+    |Theta|, and two flag arrays.  k grows first (each code's spectra are
+    recomputed once per tile it meets), then mc, while the total stays within
+    TILE_BYTES; k = mc = 1 is the floor.
     """
     N = fft_length(L)
 
     def cost(k, mc):
-        return 16 * k * mc * (2 * N + L) + k * k * N * (16 * (h + 1) + 2)
+        return 16 * k * mc * (2 * N + L) + 34 * k * k * N
 
     k = 1
     while k < K and cost(k + 1, 1) <= TILE_BYTES:
@@ -437,12 +409,13 @@ def _spectra(buf, exps, mask, roots, k0, kk, m0, mm, N):
 def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None = None) -> tuple[int, np.ndarray]:
     """Zero-test every cell of a (K, M, L) code set over Z_q.
 
-    A cell (a, b, tau), tau in [0, L), is nonzero when its counts, less M*L at
-    a == b, tau == 0, are not divisible by Phi_q.  Returns the number of
-    nonzero cells and the smallest ``limit`` of their keys (a K + b) L + tau,
-    sorted.  Exact only while fft_gram_bound(M, L, q) < 1/2 and q >= 2.
-    Given a float ``tol``, the advisory test runs instead: only the character
-    j = 1 is evaluated and a cell is nonzero when |Theta_1| >= tol (any q).
+    A cell (a, b, tau), tau in [0, L), is nonzero when |Theta_j - M*L*delta|
+    reaches the threshold at some character j evaluated.  Returns the number
+    of nonzero cells and the smallest ``limit`` of their keys (a K + b) L + tau,
+    sorted.  By default the characters are character_units(q) and the
+    threshold is 1/2: the exact test while fft_gram_bound(M, L, q) < 1/2.
+    Given a float ``tol``, the advisory test runs instead: the one character
+    j = 1 against the threshold tol.
 
     Tiles of code pairs (a-block <= b-block) share preallocated buffers sized
     by plan_tiles.  One inverse FFT per pair gives tau >= 0 of (a, b) at bins
@@ -450,13 +423,12 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     """
     K, M, L = exps.shape
     N = fft_length(L)
-    js, W = ([1], None) if tol is not None else character_basis(q)[:2]
-    h = len(js)
-    k, mc, _ = plan_tiles(K, M, L, h)
+    js, threshold = (character_units(q), 0.5) if tol is None else ((1,), tol)
+    k, mc, _ = plan_tiles(K, M, L)
     spec_a = np.empty(k * mc * N, complex)
     spec_b = np.empty(k * mc * N, complex)
-    theta = np.empty(h * k * k * N, complex)
-    scratch = np.empty(k * k * N, complex)  # a Gram chunk, later a rho row
+    theta = np.empty(k * k * N, complex)
+    scratch = np.empty(k * k * N, complex)  # a Gram chunk, later |Theta| in its real part
     flag = np.empty(k * k * N, bool)
     bad = np.empty(k * k * N, bool)
     roots = [_roots(q, j) for j in js]
@@ -466,8 +438,10 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
         for b0 in range(a0, K, k):
             ka, kb = min(k, K - a0), min(k, K - b0)
             cells = ka * kb * N
-            th = theta[: h * cells].reshape(h, ka, kb, N)
-            for i, r in enumerate(roots):
+            th, g = theta[:cells].reshape(ka, kb, N), scratch[:cells].reshape(ka, kb, N)
+            f, nz = flag[:cells].reshape(th.shape), bad[:cells].reshape(th.shape)
+            nz[:] = False
+            for r in roots:
                 for m0 in range(0, M, mc):
                     mm = min(mc, M - m0)
                     xa = _spectra(spec_a, exps, mask, r, a0, ka, m0, mm, N)
@@ -477,24 +451,16 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
                         xb = _spectra(spec_b, exps, mask, r, b0, kb, m0, mm, N)
                         np.conjugate(xb, out=xb)
                     if m0 == 0:
-                        np.einsum("amf,bmf->abf", xa, xb, out=th[i])
+                        np.einsum("amf,bmf->abf", xa, xb, out=th)
                     else:
-                        g = scratch[:cells].reshape(ka, kb, N)
                         np.einsum("amf,bmf->abf", xa, xb, out=g)
-                        th[i] += g
-                np.fft.ifft(th[i], axis=-1, out=th[i])
-            if a0 == b0:
-                for a in range(ka):
-                    th[:, a, a, 0] -= peak
-            flat, z, f, nz = th.reshape(h, cells), scratch[:cells], flag[:cells], bad[:cells]
-            if W is None:
-                np.greater_equal(np.abs(flat[0], out=z.real), tol, out=nz)  # z.real is spare
-            else:  # rho = Re(W Theta); a cell is nonzero iff a coefficient rounds to nonzero
-                nz[:] = False
-                for row in W:
-                    np.dot(row, flat, out=z)
-                    np.greater_equal(np.abs(z.real, out=z.imag), 0.5, out=f)  # z.imag is spare
-                    nz |= f
+                        th += g
+                np.fft.ifft(th, axis=-1, out=th)
+                if a0 == b0:
+                    for a in range(ka):
+                        th[a, a, 0] -= peak
+                np.greater_equal(np.abs(th, out=g.real), threshold, out=f)
+                nz |= f
             idx = np.flatnonzero(nz)
             if not idx.size:
                 continue

@@ -21,6 +21,7 @@ N_c partition the domain as c ranges over all digit choices.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import prod
 
@@ -370,6 +371,8 @@ class GeneralizedQuadraticSpec:
         if len(couplings) != d.k - 1:
             raise SpecError(f"need {d.k - 1} coupling triples, got {len(couplings)}")
         object.__setattr__(self, "couplings", couplings)
+        if not isinstance(self.offsets, (Mapping, type(None))):
+            raise SpecError(f"offsets must be a mapping or None, got {type(self.offsets).__name__}")
         offsets = {int(k): int(v) % q for k, v in (self.offsets or {}).items()}
         object.__setattr__(self, "offsets", offsets)
         # per-restriction dicts must cover every restriction class

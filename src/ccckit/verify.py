@@ -5,16 +5,19 @@ correlation value is an integer multiplicity vector tested for zero-ness via
 cyclotomic reduction; there are no false positives or negatives.  Float mode
 uses a magnitude threshold and is advisory only -- for composite alphabets a
 tiny float magnitude is expected for true zeros but can never certify one.
-Float mode runs the same tiled kernel on the single character j = 1.
 
 Exact mode runs the fft-gram kernel (``exact_corr.fft_gram_cells``): it
-computes every cell's remainder modulo Phi_q from the primitive characters in
-float64 and rounds it, which is exact because the proven error bound
-``fft_gram_bound`` is checked to be below 1/2 before the kernel runs.  The
-kernel's memory is one fixed budget (``exact_corr.TILE_BYTES``), whatever the
-set size.  Every violation it reports is recounted with integer arithmetic.
-When the bound fails, or q = 1, the shiftwise loop (one integer bincount per
-pair and shift) runs instead; it is also the kernel's test oracle.
+evaluates every cell at the characters j, the units j <= q/2 (j = 0 alone at
+q = 1), in float64 and calls a cell nonzero when some |Theta_j| >= 1/2.  A
+nonzero cell has a nonzero integer norm, so one of its |Theta_j| is >= 1;
+the test is exact because the proven error bound ``fft_gram_bound`` on each
+|Theta_j| is checked to be below 1/2 before the kernel runs.  Float mode is
+the same loop with the character j = 1 and the threshold
+FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed budget
+(``exact_corr.TILE_BYTES``), whatever the set size.  Every violation it
+reports is recounted with integer arithmetic.  When the bound fails, the
+shiftwise loop (one integer bincount per pair and shift) runs instead; it is
+also the kernel's test oracle.
 
 ``necessity_probe`` drives the converse direction: specs whose chain tables
 were deliberately corrupted must fail, and for uniform-domain specs with a
@@ -66,7 +69,7 @@ class VerifyReport:
     violations: tuple = ()
     total_violations: int = 0
     kernel: str = "shiftwise"  # "fft-gram" or "shiftwise"
-    rounding_bound: float = 0.0  # proven |error| of the fft-gram kernel; 0 when integer-exact
+    rounding_bound: float = 0.0  # proven bound on each |Theta_j| error of fft-gram; 0 when integer-exact
 
     def summary(self) -> str:
         verdict = "CCC" if self.is_ccc else f"NOT a CCC ({self.total_violations} violating cells)"
@@ -115,7 +118,7 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
     if mode == "float":
         bound, tol = 0.0, FLOAT_ZERO_FACTOR * M * L
     else:
-        bound, tol = (fft_gram_bound(M, L, q) if q > 1 else 1.0), None
+        bound, tol = fft_gram_bound(M, L, q), None
     if bound < 0.5:
         total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations, tol)
         bad_cells = []

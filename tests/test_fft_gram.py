@@ -4,8 +4,6 @@ Every comparison uses a large ``max_violations`` so the full ordered list of
 violating cells, with their exact counts, must agree.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -23,18 +21,14 @@ def shiftwise(C, max_violations=10**6):
     return verify._report(C, "exact", cells[:max_violations], len(cells), shifts, "shiftwise", 0.0)
 
 
-def characters(q):
-    return len(exact_corr.character_basis(q)[0])
-
-
 def cells_of(report):
     return [(v.k1, v.k2, v.tau, v.element.counts) for v in report.violations]
 
 
-def assert_same_as_shiftwise(C, expect_kernel="fft-gram"):
+def assert_same_as_shiftwise(C):
     got = ck.verify_ccc(C, max_violations=10**6)
     ref = shiftwise(C)
-    assert got.kernel == expect_kernel
+    assert got.kernel == "fft-gram"
     assert (got.is_ccc, got.total_violations, got.shifts_tested) == (
         ref.is_ccc,
         ref.total_violations,
@@ -106,7 +100,7 @@ def test_kronecker_products_match_shiftwise():
         assert not assert_same_as_shiftwise(with_flips(ab, q)).is_ccc
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 10, 12, 15, 30])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 10, 11, 12, 15, 30, 105, 323])
 def test_random_sets_match_shiftwise(q):
     rng = np.random.default_rng(q)
     for shape in [(3, 2, 7), (1, 3, 5), (4, 2, 1), (1, 1, 1), (2, 1, 16)]:
@@ -151,17 +145,18 @@ def test_k1_and_l1_sets():
     assert_same_as_shiftwise(ck.CodeSet(6, np.array([[[0], [3]], [[2], [5]]])))
 
 
-def test_trivial_set_uses_shiftwise():
-    report = assert_same_as_shiftwise(ck.trivial_code_set(), expect_kernel="shiftwise")
-    assert report.is_ccc and report.rounding_bound == 0.0
+def test_trivial_set_runs_the_kernel():
+    """q = 1: Z[zeta_1] = Z, so the kernel's trivial character j = 0 decides exactly."""
+    report = assert_same_as_shiftwise(ck.trivial_code_set())
+    assert report.is_ccc and 0.0 < report.rounding_bound < 0.5
 
 
 def test_small_tiles_cover_every_cell(monkeypatch):
     """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
-    assert exact_corr.plan_tiles(7, 5, 12, characters(30))[:2] == (1, 1)
+    assert exact_corr.plan_tiles(7, 5, 12)[:2] == (1, 1)
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 40_000)
-    k, mc, _ = exact_corr.plan_tiles(7, 5, 12, characters(6))
+    k, mc, _ = exact_corr.plan_tiles(7, 5, 12)
     assert 1 < k < 7 and 7 % k and 1 < mc < 5
     rng = np.random.default_rng(11)
     for q in (6, 30):
@@ -173,28 +168,42 @@ def test_small_tiles_cover_every_cell(monkeypatch):
     assert not assert_same_as_shiftwise(with_flips(C, 2)).is_ccc
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 10, 12, 15, 30, 60])
-def test_character_basis_recovers_the_remainder(q):
-    """Re(W Theta_js) equals counts @ reduction_matrix(q): the identity the kernel uses."""
-    js, W, _, _ = exact_corr.character_basis(q)
+NORM_TEST_MODULI = list(range(1, 31)) + [60, 105, 210, 323]
+
+
+def character_values(counts, q):
+    """(rows, h) values of integer count rows at the characters character_units(q)."""
+    return counts @ np.stack([exact_corr._roots(q, j) for j in exact_corr.character_units(q)], axis=1)
+
+
+@pytest.mark.parametrize("q", NORM_TEST_MODULI)
+def test_norm_threshold_decides_zero(q):
+    """A count row is zero in Z[zeta_q] iff max over character_units |value| < 1/2; else that max is >= 1."""
     rng = np.random.default_rng(q)
-    counts = rng.integers(-50, 50, size=(20, q))
-    theta = np.stack([counts @ exact_corr._roots(q, j) for j in js])
-    rho = (W @ theta).real.T
-    expect = counts @ exact_corr.reduction_matrix(q)
-    assert np.abs(rho - expect).max() < 1e-9
+    phi = np.array(exact_corr.cyclotomic(q))
+    multiples = np.zeros((20, q), dtype=np.int64)
+    for row in multiples:  # (random polynomial * Phi_q) folded mod x^q - 1: zero at every primitive root
+        prod = np.convolve(rng.integers(-3, 4, size=q), phi)
+        np.add.at(row, np.arange(prod.size) % q, prod)
+    sparse = np.zeros((20, q), dtype=np.int64)
+    for row in sparse:  # three roots of unity: zero, or a nonzero of small norm
+        np.add.at(row, rng.integers(0, q, size=3), 1)
+    counts = np.concatenate([multiples, multiples + sparse, rng.integers(-50, 50, size=(20, q))])
+    zero = exact_corr.zero_count_rows(counts, q)
+    assert zero[:20].all()
+    largest = np.abs(character_values(counts, q)).max(axis=1)
+    assert np.array_equal(zero, largest < 0.5)
+    assert (largest[~zero] >= 1 - 1e-9).all()
 
 
-def test_character_basis_memory_stays_small():
-    """No phi(q)^3 temporaries: at q = 323 (phi = 288) they took about 380 MB."""
-    exact_corr.character_basis.cache_clear()
-    tracemalloc.start()
-    try:
-        exact_corr.character_basis(323)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 << 20
+def test_first_character_alone_cannot_decide():
+    """1 + zeta^4 + zeta^7 over Z_11 is nonzero, yet |Theta_1| is about 0.31."""
+    counts = np.zeros((1, 11), dtype=np.int64)
+    counts[0, [0, 4, 7]] = 1
+    assert not exact_corr.zero_count_rows(counts, 11)[0]
+    values = np.abs(character_values(counts, 11))[0]
+    assert exact_corr.character_units(11) == (1, 2, 3, 4, 5)
+    assert abs(values[0] - 0.31) < 0.01 and values.max() >= 1
 
 
 def test_bound_below_half_on_benchmark_sets():
@@ -203,8 +212,6 @@ def test_bound_below_half_on_benchmark_sets():
              (128, 16384, 2), (5, 25, 5)]
     for M, L, q in sizes:
         assert exact_corr.fft_gram_bound(M, L, q) < 0.5, (M, L, q)
-    assert exact_corr.character_basis(60)[2] <= 1.6
-    assert exact_corr.character_basis(210)[2] <= 3.7
 
 
 def test_bound_fails_for_huge_sets():
@@ -234,8 +241,8 @@ def test_kernel_disagreeing_with_recount_raises(monkeypatch):
 
 
 def test_tile_plan_stays_within_budget():
-    for K, M, L, q in [(216, 216, 2592, 6), (60, 60, 1800, 30), (30, 30, 180, 30), (6, 6, 1296, 6)]:
-        k, mc, nbytes = exact_corr.plan_tiles(K, M, L, characters(q))
+    for K, M, L in [(216, 216, 2592), (60, 60, 1800), (30, 30, 180), (6, 6, 1296)]:
+        k, mc, nbytes = exact_corr.plan_tiles(K, M, L)
         assert 1 <= k <= K and 1 <= mc <= M
         assert nbytes <= exact_corr.TILE_BYTES
 

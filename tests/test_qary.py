@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -247,6 +249,15 @@ def test_per_restriction_dict_coverage():
             domain=d, J=((2,),), pis=((0, 1),),
             chains=(((ident, ident),),), gs=((zero, zero),), offsets={5: 1},
         )
+
+
+@pytest.mark.parametrize("offsets", ["x", [1], (0, 1), 3])
+def test_offsets_must_be_a_mapping(offsets):
+    func = example72.construction_spec().func
+    with pytest.raises(SpecError, match="offsets must be a mapping"):
+        dataclasses.replace(func, offsets=offsets)
+    for ok in (None, {}, {0: 7}):
+        assert dataclasses.replace(func, offsets=ok).offsets == ({0: 7 % func.domain.q} if ok else {})
 
 
 def test_validate_chains_reports_offender():
