@@ -237,8 +237,8 @@ def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
 
 
 def load_code_set(path: str) -> CodeSet:
-    with open(path) as fh:
-        return CodeSet.from_json(json.load(fh))
+    with open(path, "rb") as fh:
+        return CodeSet.loads(fh.read())
 
 
 # ---------------------------------------------------------------------------

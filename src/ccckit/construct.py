@@ -22,8 +22,10 @@ is never ambiguous.
 from __future__ import annotations
 
 import functools
+import io
 import json
 import os
+import re
 from dataclasses import dataclass, replace
 from math import gcd, prod
 
@@ -258,6 +260,124 @@ class CodeSet:
             parts[-1] = "]]"
         parts.append(f',"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n')
         return "".join(parts)
+
+    @staticmethod
+    def loads(data: bytes) -> "CodeSet":
+        """Read the bytes of a code-set file: canonical ``dumps`` text is scanned with numpy.
+
+        Any other text, and any text the scanner doubts, goes to ``from_json``,
+        decoded as by a file opened in text mode; that path decides every error.
+        """
+        scanned = _scan_canonical(data)
+        if scanned is not None:
+            return scanned
+        return CodeSet.from_json(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
+
+
+_SCAN_BYTES = 1 << 16  # the scanner's chunk budget; a chunk holds at least one whole code
+_HEADER = re.compile(rb'\{"K":([1-9][0-9]{0,17}),"L":([1-9][0-9]{0,17}),"M":([1-9][0-9]{0,17}),"codes":\[')
+_TOKEN = 0xFF  # a token's one byte in a layout template; no byte of canonical text
+
+
+def _scan_canonical(data: bytes) -> CodeSet | None:
+    """The set in the canonical text of ``dumps``, or None for any other text.
+
+    The codes payload runs from the header to the last ``],"meta":``, and
+    what follows must be an object with the keys meta and q alone.  The
+    payload is cut into chunks of whole codes.  K, M and L come from its
+    brackets and must match the header.  Each chunk is then read by
+    ``_scan_chunk`` against the layout of its codes, straight into the
+    exponent array and the mask of holes.
+    """
+    head = _HEADER.match(data)
+    start = head.end() if head else 0
+    stop = data.rfind(b'],"meta":', start) if head else -1
+    if stop < 0:
+        return None
+    try:
+        rest = json.loads("{" + data[stop + 2 :].decode("ascii"))
+    except (ValueError, RecursionError):
+        return None
+    q, meta = rest.get("q"), rest.get("meta")
+    if rest.keys() != {"meta", "q"} or type(q) is not int or q < 1 or not isinstance(meta, dict):
+        return None
+    chunks = []  # (first byte, end, number of codes)
+    pos = start
+    while pos < stop:
+        end = stop
+        if stop - pos > _SCAN_BYTES:
+            cut = data.rfind(b"]],[[", pos, pos + _SCAN_BYTES)
+            cut = data.find(b"]],[[", pos, stop) if cut < 0 else cut
+            end = stop if cut < 0 else cut + 2
+        chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
+        pos = end + 1  # past the "," between two codes
+    K = sum(c for *_, c in chunks)
+    M = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
+    L = data.count(b",", start, data.find(b"]", start, stop)) + 1
+    # the header alone sizes nothing, and every entry takes two bytes of the payload
+    if (K, L, M) != tuple(map(int, head.groups())) or 2 * K * M * L > stop - start:
+        return None
+    code = b"[[" + b"],[".join([b",".join([bytes([_TOKEN])] * L)] * M) + b"]]"
+    exps = np.empty(K * M * L, dtype=exps_dtype(q))
+    mask = None
+    layouts = {}  # number of codes -> (template, offsets of its tokens)
+    done = 0
+    for pos, end, c in chunks:
+        if c not in layouts:
+            template = np.frombuffer(b",".join([code] * c), dtype=np.uint8)
+            layouts[c] = template, np.flatnonzero(template == _TOKEN)
+        scanned = _scan_chunk(np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos), *layouts[c], q)
+        if scanned is None:
+            return None
+        v, holes = scanned  # c M L values: the chunk matched the template
+        if holes is not None:
+            mask = np.ones(exps.size, dtype=bool) if mask is None else mask
+            mask[done : done + len(v)] = ~holes
+        exps[done : done + len(v)] = v
+        done += len(v)
+    return CodeSet(q, exps.reshape(K, M, L), None if mask is None else mask.reshape(K, M, L), meta)
+
+
+def _scan_chunk(a: np.ndarray, template: np.ndarray, slots: np.ndarray, q: int) -> tuple | None:
+    """The values and holes (None if there are none) of a chunk of codes, or None.
+
+    ``template`` is the chunk's layout with every token one ``_TOKEN`` byte,
+    at the offsets ``slots``.  The chunk must have that layout, each token
+    being null or digits without a leading zero, and every value below q.
+    """
+    if len(a) == len(template):  # every token one byte wide: a digit in each slot
+        v = a.take(slots) - ord("0")
+        ok = ((a == template) | (template == _TOKEN)).all() and v.max() < min(q, 10)
+        return (v, None) if ok else None
+    digit = (a - ord("0")) < 10
+    isval = digit | (a >= ord("a"))  # digits and the letters of "null"; the checks below catch other bytes
+    if isval[0] or isval[-1]:
+        return None
+    edges = np.flatnonzero(isval[1:] != isval[:-1])
+    edges += 1
+    s, e = edges[::2], edges[1::2]  # token starts and ends
+    keep = ~isval
+    keep[s] = True
+    layout = isval * np.uint8(_TOKEN)
+    layout |= a
+    if not np.array_equal(layout.take(np.flatnonzero(keep)), template):
+        return None
+    w, lead = e - s, a[s]
+    width = int(w.max())
+    null = lead == ord("n")
+    nulls = np.count_nonzero(null)
+    # a token led by "n" is "null", and every other token byte is a digit
+    if nulls and ((w[null] != 4).any() or (a[s[null][:, None] + np.arange(4)] != list(b"null")).any()):
+        return None
+    if np.count_nonzero(digit) + 4 * nulls != w.sum() or width > 18:  # 19 digits may not fit int64
+        return None
+    if ((lead == ord("0")) & (w > 1)).any():  # "01" is not JSON
+        return None
+    v = (lead - ord("0")).astype(np.int64)
+    for j in range(1, width):
+        v = np.where(w > j, v * 10 + (a.take(s + j, mode="clip") - ord("0")), v)
+    v[null] = 0
+    return (v, null if nulls else None) if v.max() < q else None
 
 
 def trivial_code_set() -> CodeSet:

@@ -8,6 +8,7 @@ check that nothing wraps in the compact unsigned storage.
 
 import json
 import random
+import tracemalloc
 from math import gcd, prod
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 
 import ccckit as ck
 from ccckit import construct, exact_corr
-from ccckit.cli import main, spec_from_config
+from ccckit.cli import load_code_set, main, spec_from_config
 from ccckit.construct import UNIFORM, CodeSet, ConfigError, exps_dtype, set_size
 from ccckit.mixed_radix import digit_matrix
 from ccckit.qary import build_from_spec, restriction_index, restriction_values
@@ -444,3 +445,176 @@ def test_size_guard_skipped_when_memory_is_unknown(monkeypatch, error):
     construct._check_alloc(2**60, "anything")
     C = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 3, "m": 2, "seed": 1}))
     assert C.K == 3
+
+
+# ---------------------------------------------------------------------------
+# canonical reader: the numpy scanner of ``dumps`` text against the strict path
+
+
+def read_both(tmp_path, data: bytes):
+    """What ``load_code_set`` and the strict path (text-mode json.load, from_json) make of a file.
+
+    Each side is a CodeSet or the (type, message) of the exception it raised.
+    """
+    path = tmp_path / "codes.json"
+    path.write_bytes(data)
+
+    def strict():
+        with open(path) as fh:
+            return CodeSet.from_json(json.load(fh))
+
+    out = []
+    for read in (lambda: load_code_set(str(path)), strict):
+        try:
+            out.append(read())
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+            out.append((type(exc), str(exc)))
+    return out
+
+
+def assert_same_outcome(tmp_path, data: bytes):
+    fast, strict = read_both(tmp_path, data)
+    if isinstance(strict, CodeSet):
+        assert isinstance(fast, CodeSet), fast
+        assert fast.same_codes(strict) and (fast.q, fast.meta) == (strict.q, strict.meta)
+        assert fast.exps.dtype == strict.exps.dtype == exps_dtype(strict.q)
+    else:
+        assert fast == strict
+    return strict
+
+
+def small_set(q, holes=False):
+    rng = np.random.default_rng(q)
+    exps = rng.integers(0, q, size=(2, 3, 5))
+    exps.flat[:2] = 0, q - 1
+    mask = rng.random(exps.shape) >= 0.3 if holes else None
+    return CodeSet(q, exps, mask, {"kind": "test"})
+
+
+def with_token(text, token):
+    """The canonical text of a (1, 1, 2) set over Z_3 whose second entry is ``token``."""
+    return text.replace("[[[0,1]]]", f"[[[0,{token}]]]").encode()
+
+
+BASE = CodeSet(3, np.array([[[0, 1]]]), meta={"kind": "test"}).dumps()
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6, 10, 11, 30, 255, 256, 257, 300, 65536, 70000])
+@pytest.mark.parametrize("holes", [False, True])
+def test_scanner_reads_canonical_text(tmp_path, q, holes):
+    C = small_set(q, holes=holes)
+    text = C.dumps().encode()
+    scanned = construct._scan_canonical(text)
+    assert scanned is not None and scanned.same_codes(C) and scanned.meta == C.meta
+    assert scanned.exps.dtype == exps_dtype(q)
+    assert isinstance(assert_same_outcome(tmp_path, text), CodeSet)
+
+
+@pytest.mark.parametrize("q", [256, 65536])
+def test_scanner_reads_holes_at_the_storage_dtype_boundary(tmp_path, q):
+    # dumps once wrote the null token wrongly at exactly these q
+    C = with_holes(CodeSet(q, np.random.default_rng(q).integers(0, q, size=(3, 2, 9))), seed=q, frac=0.4)
+    text = C.dumps().encode()
+    assert construct._scan_canonical(text).same_codes(C)
+    assert assert_same_outcome(tmp_path, text).same_codes(C)
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["01", "00", "-0", "-1", "1.0", "1e0", "true", "nul", "nulll", "nule", "nnnn", "1null", "18446744073709551616", "3"],
+)
+def test_tokens_outside_canonical_json_fall_back(tmp_path, token):
+    data = with_token(BASE, token)
+    assert construct._scan_canonical(data) is None
+    assert_same_outcome(tmp_path, data)
+
+
+def test_width_limits_of_the_scanner(tmp_path):
+    # 18 digits are read by the scanner; 19 fit int64 but go to the strict path, 20 do not fit
+    base = BASE.replace('"q":3', f'"q":{10**20}')
+    for token, scanned in (("9" * 18, True), ("1" + "0" * 18, False), ("1" + "0" * 19, False)):
+        data = with_token(base, token)
+        assert (construct._scan_canonical(data) is not None) == scanned
+        assert_same_outcome(tmp_path, data)
+    assert isinstance(read_both(tmp_path, with_token(base, "1" + "0" * 18))[1], CodeSet)
+
+
+@pytest.mark.parametrize("field,value", [("K", 2), ("L", 3), ("M", 2), ("L", 1), ("K", 10**17)])
+def test_header_disagreeing_with_the_payload(tmp_path, field, value):
+    data = BASE.replace(f'"{field}":{1 if field != "L" else 2}', f'"{field}":{value}', 1).encode()
+    assert data != BASE.encode()
+    assert construct._scan_canonical(data) is None
+    assert_same_outcome(tmp_path, data)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(BASE.encode() + b"x", id="trailing-garbage"),
+        pytest.param(BASE.encode() + b"{}", id="trailing-object"),
+        pytest.param(BASE.encode()[:-3], id="truncated-tail"),
+        pytest.param(BASE.encode()[:20], id="truncated-payload"),
+        pytest.param(BASE.encode().replace(b'"test"', b'"t\xffst"'), id="non-utf8-in-meta"),
+        pytest.param(BASE.encode().replace(b"[[[0,", b"[[[\xff,"), id="non-utf8-in-codes"),
+        pytest.param(b"\xef\xbb\xbf" + BASE.encode(), id="utf8-bom"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[]").encode(), id="codes-empty"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[]]").encode(), id="codes-empty-code"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[]]]").encode(), id="codes-empty-sequence"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[0,1]],[[0]]]").encode(), id="ragged"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[0,1],[[1]]]]").encode(), id="nested"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[0],1]]").encode(), id="separator-moved"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[,0,1]]]").encode(), id="separator-replaced"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[0[0,1]]]").encode(), id="separator-replaced-first"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[0[1]]]").encode(), id="separator-replaced-mid"),
+        pytest.param(BASE.replace("[[[0,1]]]", "[[[0,1][]]").encode(), id="separator-inserted"),
+        pytest.param(BASE.replace('"q":3}', '"q":3,"codes":[[[2]]]}').encode(), id="codes-again-in-tail"),
+        pytest.param(BASE.replace('"q":3}', '"q":3,"q":2}').encode(), id="q-again-in-tail"),
+        pytest.param(BASE.replace('"q":3}', '"q":3,"L":2}').encode(), id="header-key-in-tail"),
+        pytest.param(BASE.replace('"meta":{"kind":"test"}', '"meta":[]').encode(), id="meta-list"),
+        pytest.param(BASE.replace('"meta":{"kind":"test"}', '"meta":{"a":[1],"meta":2}').encode(), id="meta-key-in-meta"),
+        pytest.param(BASE.replace('"q":3', '"q":3.0').encode(), id="q-float"),
+        pytest.param(BASE.replace("\n", "\r\n").encode(), id="crlf"),
+        pytest.param(json.dumps(json.loads(BASE), indent=1).encode(), id="pretty-printed"),
+    ],
+)
+def test_non_canonical_files_give_the_strict_outcome(tmp_path, data):
+    assert_same_outcome(tmp_path, data)
+
+
+def test_header_claims_allocate_nothing(tmp_path, capsys):
+    path = tmp_path / "claims.json"
+    path.write_text('{"K":1000000,"L":1000000000,"M":1000000,"codes":[[[0,1]]],"meta":{},"q":2}\n')
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="inconsistent L"):
+            load_code_set(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: inconsistent L in serialized code set\n"
+
+
+# The scanner's working set: layouts and temporaries of chunks of whole codes of about _SCAN_BYTES.
+# With one-byte tokens it is about 360 KB here, and 448 KiB is less than a second copy of the
+# 1 MB file, so a full-length bool temporary fails.  The general path, with holes, needs about 1.7 MB.
+CHUNK_ALLOWANCE = {False: 7 * 2**16, True: 2**21}
+
+
+@pytest.mark.parametrize("holes", [False, True])
+def test_reader_memory_is_file_plus_arrays_plus_chunks(tmp_path, holes):
+    C = CodeSet(3, np.random.default_rng(27).integers(0, 3, size=(27, 27, 729)))
+    C = with_holes(C, seed=27) if holes else C
+    path = tmp_path / "codes.json"
+    path.write_text(C.dumps())
+    tracemalloc.start()
+    try:
+        back = load_code_set(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.same_codes(C)
+    assert path.stat().st_size > 16 * construct._SCAN_BYTES  # many chunks
+    arrays = back.exps.nbytes + (0 if back.mask is None else back.mask.nbytes)
+    assert peak <= path.stat().st_size + arrays + CHUNK_ALLOWANCE[holes]

@@ -5,10 +5,15 @@ by the exact verifier, or the CLI refuses it with exit code 2.  Exit code 1
 may only mean "not a CCC" or "probe found nothing", and nothing may end in a
 traceback.  Sizes stay small (q <= 6, L <= 7 or a few hundred) so every
 example verifies in milliseconds.
+
+A third target feeds mutated canonical ``dumps`` text to ``CodeSet.loads``
+and to the strict ``from_json`` path: both must give the same set or the
+same error.
 """
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -164,3 +169,70 @@ def test_build_config_builds_and_verifies_or_exits_2(workdir, cfg):
         assert report.is_ccc
     else:  # the probe must find the violation a corrupted chain table causes
         assert (corrupted, report.is_ccc) == (0, False)
+
+
+# ---------------------------------------------------------------------------
+# the canonical reader against the strict path, on mutated ``dumps`` text
+
+QS = [1, 2, 3, 4, 5, 6, 256, 300, 65536, 70000]  # uint8, uint16 and int64 storage
+MUTATION_BYTES = '0123456789,[]nul-.e" '
+
+
+@st.composite
+def canonical_texts(draw):
+    q = draw(st.sampled_from(QS))
+    K, M, L = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    n = K * M * L
+    exps = np.array(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))).reshape(K, M, L)
+    mask = None
+    if draw(st.booleans()):
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))).reshape(K, M, L)
+    meta = draw(st.sampled_from([{}, {"kind": "fuzz"}, {"a": [1], "meta": {"q": 2}}]))
+    return ck.CodeSet(q, exps, mask, meta).dumps()
+
+
+@st.composite
+def mutated_texts(draw):
+    text = draw(canonical_texts())
+    i = draw(st.integers(0, len(text) - 1))
+    c = draw(st.one_of(st.sampled_from(",[]"), st.sampled_from(MUTATION_BYTES)))  # layout bytes more often
+    mutation = draw(st.sampled_from(
+        ["none", "delete", "insert", "replace", "codes-first", "codes-last", "q-last", "append", "truncate"]
+    ))
+    return {
+        "none": text,
+        "delete": text[:i] + text[i + 1 :],
+        "insert": text[:i] + c + text[i:],
+        "replace": text[:i] + c + text[i + 1 :],
+        "codes-first": text.replace('"codes":', '"codes":[[[0]]],"codes":', 1),  # JSON keeps the last one
+        "codes-last": text[:-2] + ',"codes":[[[1,0]]]}\n',
+        "q-last": text[:-2] + ',"q":2}\n',
+        "append": text + draw(st.sampled_from(["x", "}", " ", "\n\n", "[]", "0", c])),
+        "truncate": text[:i],
+    }[mutation]
+
+
+def outcome(read):
+    try:
+        return read()
+    except ValueError as exc:  # ConfigError and JSONDecodeError are ValueErrors
+        return type(exc), str(exc)
+
+
+@FUZZ
+@given(text=mutated_texts())
+def test_canonical_reader_matches_the_strict_path(workdir, text):
+    fast = outcome(lambda: ck.CodeSet.loads(text.encode()))
+    strict = outcome(lambda: ck.CodeSet.from_json(json.loads(text)))
+    if isinstance(strict, ck.CodeSet):
+        assert isinstance(fast, ck.CodeSet), fast
+        assert fast.same_codes(strict) and (fast.q, fast.meta) == (strict.q, strict.meta)
+        if strict.q > 300:  # exact verify would build a q x phi(q) reduction matrix, 16 GiB at q = 65536
+            return
+        expected = 0 if ck.verify_ccc(strict).is_ccc else 1
+    else:
+        assert fast == strict
+        expected = 2
+    path = workdir / "canonical.json"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == expected
