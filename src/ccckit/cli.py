@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -61,21 +62,32 @@ def _rand_perm_table(rng: random.Random, q: int, p: int) -> tuple:
     return tuple(sigma[u % p] + p * rng.randrange(q // p) for u in range(q))
 
 
-def _get_tables(cfg, key, count, q, fill):
+def _ints(t) -> tuple:
+    return tuple(int(v) for v in t)
+
+
+def _tables(ts) -> tuple:
+    return tuple(_ints(t) for t in ts)
+
+
+def _coupling(c) -> tuple:
+    if not isinstance(c, dict):
+        raise ConfigError("each coupling must be a JSON object")
+    return int(c.get("lam", 0)), tuple(c["f"]), tuple(c["h"])
+
+
+def _per_block(cfg, key, count, default, convert) -> list:
+    """cfg[key], a list of ``count`` entries (per block, chain or variable), each through ``convert``.
+
+    When the key is absent, the entries are ``default(i)`` for i = 0..count-1,
+    drawn in that order.
+    """
     raw = cfg.get(key)
     if raw is None:
-        return [fill() for _ in range(count)]
-    if len(raw) != count:
-        raise ConfigError(f"{key} must list {count} tables")
-    return [tuple(int(v) for v in t) for t in raw]
-
-
-def _per_block(cfg, key, count):
-    """cfg[key] as a list of ``count`` entries, or None when the key is absent."""
-    raw = cfg.get(key)
-    if raw is not None and (not isinstance(raw, list) or len(raw) != count):
+        return [default(i) for i in range(count)]
+    if not isinstance(raw, list) or len(raw) != count:
         raise ConfigError(f"{key} must be a list of {count} entries")
-    return raw
+    return [convert(v) for v in raw]
 
 
 def _offsets(raw):
@@ -102,9 +114,9 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     if kind == "theorem1":
         q, m = int(cfg["q"]), int(cfg["m"])
         pi = tuple(cfg.get("pi") or rng.sample(range(m), m))
-        h = _get_tables(cfg, "h", m - 1, q, lambda: _rand_perm_table(rng, q, q))
-        hp = _get_tables(cfg, "hp", m - 1, q, lambda: _rand_perm_table(rng, q, q))
-        g = _get_tables(cfg, "g", m, q, lambda: _rand_table(rng, q))
+        h = _per_block(cfg, "h", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
+        hp = _per_block(cfg, "hp", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
+        g = _per_block(cfg, "g", m, lambda _: _rand_table(rng, q), _ints)
         spec = theorem1_spec(q, m, h, hp, g, pi)
     elif kind == "corollary1":
         q, m, n = int(cfg["q"]), int(cfg["m"]), int(cfg["n"])
@@ -112,94 +124,54 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
         free = sorted(set(range(m)) - set(J))
         raw_pi = cfg.get("pi")
         pi = _maybe_per_restriction(raw_pi, tuple) if raw_pi else tuple(free)
-        h = _get_tables(cfg, "h", m - n - 1, q, lambda: _rand_perm_table(rng, q, q))
-        hp = _get_tables(cfg, "hp", m - n - 1, q, lambda: _rand_perm_table(rng, q, q))
+        h = _per_block(cfg, "h", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
+        hp = _per_block(cfg, "hp", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         g_raw = cfg.get("g")
         if g_raw is None:
             g = tuple(_rand_table(rng, q) for _ in range(m - n))
         else:
-            g = _maybe_per_restriction(g_raw, lambda ts: tuple(tuple(int(v) for v in t) for t in ts))
+            g = _maybe_per_restriction(g_raw, _tables)
         offsets = cfg.get("offsets", "auto")
         if offsets != "auto":
             offsets = _offsets(offsets)
         spec = corollary1_spec(q, m, n, J, pi, h, hp, g, offsets)
     elif kind in ("theorem2", "corollary3"):
         domain = DomainSpec.from_json(cfg["blocks"])
-        q = domain.q
+        q, k = domain.q, domain.k
         if kind == "theorem2":
-            if domain.k != 2:
+            if k != 2:
                 raise ConfigError("theorem2 needs exactly two blocks")
             (p1, m1), (p2, m2) = domain.blocks
             pi = tuple(cfg.get("pi") or rng.sample(range(m1), m1))
             pip = tuple(cfg.get("pip") or (m1 + i for i in rng.sample(range(m2), m2)))
-            f = _get_tables(cfg, "f", m1 - 1, q, lambda: _rand_perm_table(rng, q, p1))
-            fp = _get_tables(cfg, "fp", m1 - 1, q, lambda: _rand_perm_table(rng, q, p1))
-            h = _get_tables(cfg, "h", m2 - 1, q, lambda: _rand_perm_table(rng, q, p2))
-            hp = _get_tables(cfg, "hp", m2 - 1, q, lambda: _rand_perm_table(rng, q, p2))
-            g = _get_tables(cfg, "g", m1, q, lambda: _rand_table(rng, q))
-            gp = _get_tables(cfg, "gp", m2, q, lambda: _rand_table(rng, q))
+            f = _per_block(cfg, "f", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
+            fp = _per_block(cfg, "fp", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
+            h = _per_block(cfg, "h", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
+            hp = _per_block(cfg, "hp", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
+            g = _per_block(cfg, "g", m1, lambda _: _rand_table(rng, q), _ints)
+            gp = _per_block(cfg, "gp", m2, lambda _: _rand_table(rng, q), _ints)
             f0 = tuple(cfg.get("f0") or _rand_table(rng, q))
             h0 = tuple(cfg.get("h0") or _rand_table(rng, q))
             lam = int(cfg.get("lam", rng.randrange(q)))
             spec = theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam)
         else:
-            n = [int(v) for v in _per_block(cfg, "n", domain.k) or [0] * domain.k]
-            J_cfg = _per_block(cfg, "J", domain.k)
-            J = []
-            for i, ni in enumerate(n):
-                if J_cfg is not None:
-                    J.append(tuple(int(j) for j in J_cfg[i]))
-                else:
-                    positions = domain.block_positions(i)
-                    J.append(tuple(positions[len(positions) - ni :]))
-            pi_cfg = _per_block(cfg, "pi", domain.k)
-            pis = []
-            for i in range(domain.k):
-                free = [j for j in domain.block_positions(i) if j not in J[i]]
-                if pi_cfg is None:
-                    pis.append(tuple(free))
-                else:
-                    pis.append(_maybe_per_restriction(pi_cfg[i], tuple))
-            p_i = [b[0] for b in domain.blocks]
-            chains_cfg = _per_block(cfg, "chains", domain.k)
-            chains = []
-            for i in range(domain.k):
-                want = domain.blocks[i][1] - n[i] - 1
-                if chains_cfg is None:
-                    chains.append(
-                        tuple(
-                            (_rand_perm_table(rng, q, p_i[i]), _rand_perm_table(rng, q, p_i[i]))
-                            for _ in range(want)
-                        )
-                    )
-                else:
-                    chains.append(
-                        tuple((tuple(int(v) for v in f), tuple(int(v) for v in fp)) for f, fp in chains_cfg[i])
-                    )
-            g_cfg = _per_block(cfg, "g", domain.k)
-            gs = []
-            for i in range(domain.k):
-                want = domain.blocks[i][1] - n[i]
-                if g_cfg is None:
-                    gs.append(tuple(_rand_table(rng, q) for _ in range(want)))
-                else:
-                    gs.append(
-                        _maybe_per_restriction(
-                            g_cfg[i], lambda ts: tuple(tuple(int(v) for v in t) for t in ts)
-                        )
-                    )
-            coup_cfg = _per_block(cfg, "couplings", domain.k - 1)
-            couplings = []
-            for i in range(domain.k - 1):
-                if coup_cfg is None:
-                    couplings.append((rng.randrange(q), _rand_table(rng, q), _rand_table(rng, q)))
-                else:
-                    c = coup_cfg[i]
-                    if not isinstance(c, dict):
-                        raise ConfigError("each coupling must be a JSON object")
-                    couplings.append(
-                        (int(c.get("lam", 0)), tuple(c["f"]), tuple(c["h"]))
-                    )
+            p, m = zip(*domain.blocks)
+            n = _per_block(cfg, "n", k, lambda _: 0, int)
+            J = _per_block(cfg, "J", k, lambda i: domain.block_positions(i)[m[i] - n[i] :], _ints)
+            free = [tuple(j for j in domain.block_positions(i) if j not in J[i]) for i in range(k)]
+            pis = _per_block(cfg, "pi", k, lambda i: free[i], lambda v: _maybe_per_restriction(v, tuple))
+
+            def rand_chains(i):
+                perm = functools.partial(_rand_perm_table, rng, q, p[i])
+                return tuple((perm(), perm()) for _ in range(m[i] - n[i] - 1))
+
+            def rand_coupling(_):
+                return rng.randrange(q), _rand_table(rng, q), _rand_table(rng, q)
+
+            chains = _per_block(cfg, "chains", k, rand_chains, lambda pairs: tuple(map(_tables, pairs)))
+            gs = _per_block(cfg, "g", k, lambda i: tuple(_rand_table(rng, q) for _ in range(m[i] - n[i])),
+                            lambda v: _maybe_per_restriction(v, _tables))
+            couplings = _per_block(cfg, "couplings", k - 1, rand_coupling, _coupling)
             offsets = _offsets(cfg.get("offsets"))
             spec = corollary3_spec(domain, J, pis, chains, gs, couplings, offsets)
     else:
@@ -356,6 +328,7 @@ def main(argv=None) -> int:
         OSError,
         KeyError,
         OverflowError,
+        RecursionError,
         TypeError,
         ValueError,
     ) as exc:

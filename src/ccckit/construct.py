@@ -38,7 +38,6 @@ from .qary import (
     build_from_spec,
     check_table,
     is_permutation_mod,
-    restriction_index,
     restriction_values,
 )
 from .waveform import RootSequence
@@ -409,41 +408,27 @@ class ConstructionSpec:
 
 def _default_uniform_offsets(d: DomainSpec, J) -> dict:
     """Offset c = sum_i c_i q^{n-i} (digits in J order) for each restriction."""
-    q = d.q
-    n = len(J)
-    out = {}
-    for c in restriction_values(d, J):
-        cidx = restriction_index(d, J, c)
-        out[cidx] = sum(ci * q ** (n - i) for i, ci in enumerate(c, start=1)) % q
-    return out
+    q, n = d.q, len(J)
+    return {
+        cidx: sum(ci * q ** (n - i) for i, ci in enumerate(c, start=1)) % q
+        for cidx, c in enumerate(restriction_values(d, J))
+    }
 
 
 def theorem1_spec(q: int, m: int, h, hp, g, pi) -> ConstructionSpec:
-    """Uniform-domain spec with no restricted variables.
+    """Uniform-domain spec with no restricted variables: Corollary 1 at n = 0.
 
     h, hp: the m-1 chain table pairs; g: m tables, g[j] applied to variable j
     directly; pi: ordering of the m variable positions (0-based).
     """
     if m < 2:
         raise SpecError("need at least two variables")
-    d = DomainSpec(((q, m),))
     pi = tuple(int(v) for v in pi)
     if sorted(pi) != list(range(m)):
         raise SpecError(f"pi must order positions 0..{m - 1}, got {pi}")
-    g = [check_table(t, q) for t in g]
     if len(g) != m:
         raise SpecError(f"need m={m} per-variable tables, got {len(g)}")
-    gs = tuple(g[pi[j]] for j in range(m))  # reindex: slot j acts on x_{pi(j)}
-    func = GeneralizedQuadraticSpec(
-        domain=d,
-        J=((),),
-        pis=(pi,),
-        chains=(tuple(zip(h, hp)),),
-        gs=(gs,),
-        couplings=(),
-        offsets=None,
-    )
-    return ConstructionSpec(UNIFORM, func)
+    return corollary1_spec(q, m, 0, (), pi, h, hp, [g[v] for v in pi], offsets=None)
 
 
 def corollary1_spec(q: int, m: int, n: int, J, pi, h, hp, g, offsets="auto") -> ConstructionSpec:
@@ -474,33 +459,23 @@ def corollary1_spec(q: int, m: int, n: int, J, pi, h, hp, g, offsets="auto") -> 
 
 
 def theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam) -> ConstructionSpec:
-    """Two-block spec with no restricted variables.
+    """Two-block spec with no restricted variables: Corollary 3 at n = (0, 0).
 
     pi orders block-1 positions 0..m1-1, pip block-2 positions m1..m1+m2-1.
     f/fp and h/hp are the block chain pairs; g[a] acts on variable a of block 1
     and gp[b] on variable m1+b of block 2 (both unpermuted); lam scales the
     coupling f0(last pi slot of block 1) * h0(first pip slot of block 2).
     """
-    d = DomainSpec(((p1, m1), (p2, m2)))
-    q = d.q
     pi = tuple(int(v) for v in pi)
     pip = tuple(int(v) for v in pip)
-    g = [check_table(t, q) for t in g]
-    gp = [check_table(t, q) for t in gp]
+    if sorted(pi) != list(range(m1)) or sorted(pip) != list(range(m1, m1 + m2)):
+        raise SpecError(f"pi must order positions 0..{m1 - 1} and pip {m1}..{m1 + m2 - 1}, got {pi} and {pip}")
     if len(g) != m1 or len(gp) != m2:
         raise SpecError("need m1 tables in g and m2 tables in gp")
-    gs1 = tuple(g[pi[j]] for j in range(m1))
-    gs2 = tuple(gp[pip[j] - m1] for j in range(m2))
-    func = GeneralizedQuadraticSpec(
-        domain=d,
-        J=((), ()),
-        pis=(pi, pip),
-        chains=(tuple(zip(f, fp)), tuple(zip(h, hp))),
-        gs=(gs1, gs2),
-        couplings=((lam, f0, h0),),
-        offsets=None,
+    gs = ([g[v] for v in pi], [gp[v - m1] for v in pip])
+    return corollary3_spec(
+        DomainSpec(((p1, m1), (p2, m2))), ((), ()), (pi, pip), (zip(f, fp), zip(h, hp)), gs, ((lam, f0, h0),)
     )
-    return ConstructionSpec(MIXED, func)
 
 
 def corollary3_spec(
@@ -553,9 +528,7 @@ def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, repla
 
 
 def set_size(cs: ConstructionSpec) -> int:
-    if cs.kind == UNIFORM:
-        q = cs.func.domain.q
-        return q ** (cs.func.n[0] + 1)
+    """K = prod p_i^{n_i+1}; q^{n+1} on a uniform domain, its one block being (q, m)."""
     return prod(p ** (ni + 1) for (p, _), ni in zip(cs.func.domain.blocks, cs.func.n))
 
 
@@ -601,8 +574,7 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     first = np.empty((d.k, L), dtype=np.int64)
     last = np.empty((d.k, L), dtype=np.int64)
     flat_J = func.flat_J
-    for c in restriction_values(d, flat_J):
-        cidx = restriction_index(d, flat_J, c)
+    for cidx, c in enumerate(restriction_values(d, flat_J)):
         idx = np.flatnonzero((digits[:, list(flat_J)] == c).all(axis=1))
         for i in range(d.k):
             pi = func.pi_for(i, cidx)

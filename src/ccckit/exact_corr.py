@@ -78,16 +78,36 @@ def poly_divmod_exact(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
+def radical(n: int) -> int:
+    """The product of the distinct primes dividing n (1 at n = 1)."""
+    r, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return r * n
+
+
+@functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    Computed by exact division of x^n - 1 by the cyclotomic polynomials of
-    the proper divisors of n.
+    With r = radical(n) and s = n / r, Phi_n(x) = Phi_r(x^s); Phi_r comes
+    from exact division of x^r - 1 by the cyclotomic polynomials of the
+    proper divisors of r.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (-1, 1)
+    r = radical(n)
+    if r < n:
+        phi, s = cyclotomic(r), n // r
+        out = [0] * ((len(phi) - 1) * s + 1)
+        out[::s] = phi
+        return tuple(out)
     num = [-1] + [0] * (n - 1) + [1]
     poly = poly_trim(num)
     for d in range(1, n):
@@ -182,10 +202,20 @@ def is_zero_exact(g: GroupRingElement) -> bool:
 
 
 def zero_count_rows(counts: np.ndarray, q: int) -> np.ndarray:
-    """Boolean vector: which rows of an (N, q) counts matrix are exactly zero."""
-    red = reduction_matrix(q)
-    rem = counts.astype(np.int64) @ red
-    return ~rem.any(axis=1)
+    """Boolean vector: which rows of an (N, q) counts matrix are exactly zero.
+
+    With r = radical(q) and s = q / r, Phi_q(x) = Phi_r(x^s).  Split a row's
+    polynomial by the exponent mod s: sum_b x^b C_b(x^s), b < s.  It is
+    divisible by Phi_r(x^s) iff every C_b(y) is divisible by Phi_r(y), since
+    the remainders occupy disjoint exponents.  So each row folds into s rows
+    of length r, reduced by the (r, phi(r)) matrix.
+    """
+    r = radical(q)
+    s = q // r
+    N = counts.shape[0]
+    folded = counts.astype(np.int64).reshape(N, r, s).transpose(0, 2, 1).reshape(N * s, r)
+    rem = folded @ reduction_matrix(r)
+    return ~rem.reshape(N, -1).any(axis=1)
 
 
 def counts_to_complex(counts: np.ndarray, q: int) -> np.ndarray:
@@ -375,16 +405,16 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per FFT batch, working set.
 
     A tile pairs k codes with k codes; its buffers are the two spectrum
-    batches (k, mc, N) with the root lookup that fills them, the Gram of the
-    character in hand (k, k, N), one scratch (k, k, N) for a Gram chunk or
-    |Theta|, and two flag arrays.  k grows first (each code's spectra are
-    recomputed once per tile it meets), then mc, while the total stays within
-    TILE_BYTES; k = mc = 1 is the floor.
+    batches (k, mc, N) with the root lookup that fills them and its int64
+    exponents j e mod q, the Gram of the character in hand (k, k, N), one
+    scratch (k, k, N) for a Gram chunk or |Theta|, and two flag arrays.  k
+    grows first (each code's spectra are recomputed once per tile it meets),
+    then mc, while the total stays within TILE_BYTES; k = mc = 1 is the floor.
     """
     N = fft_length(L)
 
     def cost(k, mc):
-        return 16 * k * mc * (2 * N + L) + 34 * k * k * N
+        return 16 * k * mc * (2 * N + L) + 8 * k * mc * L + 34 * k * k * N
 
     k = 1
     while k < K and cost(k + 1, 1) <= TILE_BYTES:
@@ -395,11 +425,16 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     return k, mc, cost(k, mc)
 
 
-def _spectra(buf, exps, mask, roots, k0, kk, m0, mm, N):
-    """FFT (zero-padded to N) of the sequences exps[k0:k0+kk, m0:m0+mm] in buf."""
+def _spectra(buf, exps, mask, roots, j, k0, kk, m0, mm, N):
+    """FFT (zero-padded to N) at the character j of the sequences exps[k0:k0+kk, m0:m0+mm], in buf.
+
+    roots is the one table _roots(q, 1); the entry of exponent e is roots[j e mod q].
+    """
     L = exps.shape[2]
     x = buf[: kk * mm * N].reshape(kk, mm, N)
-    np.take(roots, exps[k0 : k0 + kk, m0 : m0 + mm], out=x[..., :L], mode="clip")
+    e = np.multiply(exps[k0 : k0 + kk, m0 : m0 + mm], j, dtype=np.int64)  # widen: j e overflows the storage dtype
+    e %= roots.size
+    np.take(roots, e, out=x[..., :L], mode="clip")
     if mask is not None:
         x[..., :L] *= mask[k0 : k0 + kk, m0 : m0 + mm]
     x[..., L:] = 0
@@ -431,7 +466,7 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     scratch = np.empty(k * k * N, complex)  # a Gram chunk, later |Theta| in its real part
     flag = np.empty(k * k * N, bool)
     bad = np.empty(k * k * N, bool)
-    roots = [_roots(q, j) for j in js]
+    roots = _roots(q, 1)  # q entries: one table serves every character
     peak = M * L
     total, kept = 0, np.empty(0, np.int64)
     for a0 in range(0, K, k):
@@ -441,14 +476,14 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
             th, g = theta[:cells].reshape(ka, kb, N), scratch[:cells].reshape(ka, kb, N)
             f, nz = flag[:cells].reshape(th.shape), bad[:cells].reshape(th.shape)
             nz[:] = False
-            for r in roots:
+            for j in js:
                 for m0 in range(0, M, mc):
                     mm = min(mc, M - m0)
-                    xa = _spectra(spec_a, exps, mask, r, a0, ka, m0, mm, N)
+                    xa = _spectra(spec_a, exps, mask, roots, j, a0, ka, m0, mm, N)
                     if b0 == a0:
                         xb = np.conjugate(xa, out=spec_b[: xa.size].reshape(xa.shape))
                     else:
-                        xb = _spectra(spec_b, exps, mask, r, b0, kb, m0, mm, N)
+                        xb = _spectra(spec_b, exps, mask, roots, j, b0, kb, m0, mm, N)
                         np.conjugate(xb, out=xb)
                     if m0 == 0:
                         np.einsum("amf,bmf->abf", xa, xb, out=th)

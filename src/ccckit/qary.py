@@ -219,7 +219,11 @@ def restriction_index(d: DomainSpec, J, c) -> int:
 
 
 def restriction_values(d: DomainSpec, J) -> list[tuple[int, ...]]:
-    """All digit tuples c for positions J, ordered by restriction_index."""
+    """All digit tuples c for positions J; the one at list index i has restriction_index i.
+
+    Builders take the restriction class of c from this order (``enumerate``)
+    rather than recomputing restriction_index.
+    """
     J = tuple(J)
     radix = d.radix_per_position
     per_block: list[list[int]] = [[] for _ in d.blocks]
@@ -455,8 +459,7 @@ def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
     digits = digit_matrix(d)
     table = np.zeros(d.L, dtype=np.int64)
     flat_J = s.flat_J
-    for c in restriction_values(d, flat_J):
-        cidx = restriction_index(d, flat_J, c)
+    for cidx, c in enumerate(restriction_values(d, flat_J)):
         mask = np.ones(d.L, dtype=bool)
         for j, cj in zip(flat_J, c):
             mask &= digits[:, j] == cj

@@ -218,12 +218,12 @@ class ProbeResult:
         )
 
 
-def necessity_probe(cs: ConstructionSpec, full_scan_fallback: bool = True) -> ProbeResult:
+def necessity_probe(cs: ConstructionSpec) -> ProbeResult:
     """Hunt for the correlation violation a corrupted spec must produce.
 
     Scans the witness shifts first (constant-table corruptions provably show
-    up there when the position ordering is the identity), then optionally the
-    whole pair/shift grid.  Only flagged-corrupted specs are accepted: for
+    up there when the position ordering is the identity), then the whole
+    pair/shift grid.  Only flagged-corrupted specs are accepted: for
     valid specs the builders already guarantee the property.
     """
     if not cs.corrupted:
@@ -245,19 +245,18 @@ def necessity_probe(cs: ConstructionSpec, full_scan_fallback: bool = True) -> Pr
                         element=GroupRingElement(q, tuple(counts[0].tolist())),
                         scanned_witness_shifts=tuple(taus),
                     )
-    if full_scan_fallback:
-        report = verify_ccc(C, mode="exact", max_violations=1)
-        if report.violations:
-            v = report.violations[0]
-            return ProbeResult(
-                found=True,
-                tau=v.tau,
-                k1=v.k1,
-                k2=v.k2,
-                element=v.element,
-                scanned_witness_shifts=tuple(taus),
-                used_full_scan=True,
-            )
+    report = verify_ccc(C, mode="exact", max_violations=1)
+    if report.violations:
+        v = report.violations[0]
+        return ProbeResult(
+            found=True,
+            tau=v.tau,
+            k1=v.k1,
+            k2=v.k2,
+            element=v.element,
+            scanned_witness_shifts=tuple(taus),
+            used_full_scan=True,
+        )
     return ProbeResult(found=False, scanned_witness_shifts=tuple(taus))
 
 

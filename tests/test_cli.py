@@ -237,12 +237,22 @@ CORRUPT_COROLLARY3 = {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3
         dict(CORRUPT_COROLLARY1, offsets=[1]),
         dict(CORRUPT_COROLLARY1, offsets=7),
         dict(CORRUPT_COROLLARY1, offsets="x"),
+        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "pi": [0, 5]},
     ],
     ids=["top_level_list", "n_shorter_than_blocks", "corrupt_block_3", "corrupt_chain_9", "q_infinity",
          "kronecker_inputs_not_paths", "coupling_not_object", "corollary3_offsets_list",
-         "corollary1_offsets_list", "corollary1_offsets_int", "corollary1_offsets_string"],
+         "corollary1_offsets_list", "corollary1_offsets_int", "corollary1_offsets_string",
+         "theorem2_pi_out_of_range"],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, payload):
     path = write(tmp_path / "bad.json", payload)
     assert main([command, path]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "probe", "verify"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
     assert "error:" in capsys.readouterr().err

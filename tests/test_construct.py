@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,14 @@ import ccckit as ck
 from ccckit import example72
 from ccckit.cli import spec_from_config
 from ccckit.construct import CodeSet, seed_digits, set_size
-from ccckit.qary import MonomialForm, SpecError, constant_table, identity_table
+from ccckit.qary import (
+    GeneralizedQuadraticSpec,
+    MonomialForm,
+    SpecError,
+    check_table,
+    constant_table,
+    identity_table,
+)
 
 from conftest import rand_perm_table, rand_table, rand_theorem2_spec
 
@@ -58,6 +67,103 @@ def test_corollary1_n0_reduces_to_theorem1(rng):
     g_slots = [g[pi[j]] for j in range(m)]
     B = ck.build_corollary1(q, m, 0, J=(), pi=pi, h=h, hp=hp, g=g_slots, offsets=None)
     assert A.same_codes(B)
+
+
+# The bodies of theorem1_spec and theorem2_spec from before they delegated to
+# corollary1_spec and corollary3_spec: each built its own GeneralizedQuadraticSpec.
+
+
+def _theorem1_before(q, m, h, hp, g, pi):
+    if m < 2:
+        raise SpecError("need at least two variables")
+    d = ck.DomainSpec(((q, m),))
+    pi = tuple(int(v) for v in pi)
+    if sorted(pi) != list(range(m)):
+        raise SpecError(f"pi must order positions 0..{m - 1}, got {pi}")
+    g = [check_table(t, q) for t in g]
+    if len(g) != m:
+        raise SpecError(f"need m={m} per-variable tables, got {len(g)}")
+    gs = tuple(g[pi[j]] for j in range(m))
+    func = GeneralizedQuadraticSpec(d, ((),), (pi,), (tuple(zip(h, hp)),), (gs,), (), None)
+    return ck.ConstructionSpec("uniform", func)
+
+
+def _theorem2_before(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam):
+    d = ck.DomainSpec(((p1, m1), (p2, m2)))
+    q = d.q
+    pi = tuple(int(v) for v in pi)
+    pip = tuple(int(v) for v in pip)
+    g = [check_table(t, q) for t in g]
+    gp = [check_table(t, q) for t in gp]
+    if len(g) != m1 or len(gp) != m2:
+        raise SpecError("need m1 tables in g and m2 tables in gp")
+    gs1 = tuple(g[pi[j]] for j in range(m1))
+    gs2 = tuple(gp[pip[j] - m1] for j in range(m2))
+    chains = (tuple(zip(f, fp)), tuple(zip(h, hp)))
+    func = GeneralizedQuadraticSpec(d, ((), ()), (pi, pip), chains, (gs1, gs2), ((lam, f0, h0),), None)
+    return ck.ConstructionSpec("mixed", func)
+
+
+def _spoil(rng, args: dict, key: str, q: int):
+    """One way to break args[key]: a list grows or shrinks, an index leaves its range, a table entry reaches q."""
+    value = list(args[key])
+    how = rng.randrange(4)
+    if how == 0:
+        value.append(value[-1] if value else 0)
+    elif how == 1:
+        value = value[:-1]
+    elif value and key.startswith("pi"):
+        value[rng.randrange(len(value))] = rng.choice([-1, 9, value[0]])
+    elif value:
+        value[rng.randrange(len(value))] = (q,) * q
+    args[key] = value
+
+
+def _outcome(make, args):
+    try:
+        return make(**args)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+@pytest.mark.parametrize("theorem", ["theorem1", "theorem2"])
+def test_theorem_specs_match_their_former_bodies(theorem):
+    """On random and broken inputs, the delegating spec equals the former body's, or fails alike.
+
+    The one intended difference: a theorem 2 ordering that indexed past its
+    tables raised IndexError before; it is a SpecError now.
+    """
+    rng = random.Random(theorem)
+    new, old = (ck.theorem1_spec, _theorem1_before) if theorem == "theorem1" else (ck.theorem2_spec, _theorem2_before)
+    outcomes = set()
+    for trial in range(400):
+        if theorem == "theorem1":
+            q, m = rng.choice([2, 3, 4, 6]), rng.randrange(1, 5)
+            args = dict(q=q, m=m, pi=rng.sample(range(m), m),
+                        h=[rand_perm_table(rng, q, q) for _ in range(m - 1)],
+                        hp=[rand_perm_table(rng, q, q) for _ in range(m - 1)],
+                        g=[rand_table(rng, q) for _ in range(m)])
+        else:
+            (p1, p2), m1, m2 = rng.choice([(2, 3), (2, 5), (3, 5)]), rng.randrange(1, 4), rng.randrange(1, 4)
+            q = p1 * p2
+            args = dict(p1=p1, p2=p2, m1=m1, m2=m2, pi=rng.sample(range(m1), m1),
+                        pip=[m1 + i for i in rng.sample(range(m2), m2)],
+                        f=[rand_perm_table(rng, q, p1) for _ in range(m1 - 1)],
+                        fp=[rand_perm_table(rng, q, p1) for _ in range(m1 - 1)],
+                        h=[rand_perm_table(rng, q, p2) for _ in range(m2 - 1)],
+                        hp=[rand_perm_table(rng, q, p2) for _ in range(m2 - 1)],
+                        g=[rand_table(rng, q) for _ in range(m1)], gp=[rand_table(rng, q) for _ in range(m2)],
+                        f0=rand_table(rng, q), h0=rand_table(rng, q), lam=rng.randrange(q))
+        if trial % 4:
+            _spoil(rng, args, rng.choice([k for k in args if isinstance(args[k], list)]), q)
+        got, want = _outcome(new, args), _outcome(old, args)
+        if isinstance(want, ck.ConstructionSpec):
+            assert isinstance(got, ck.ConstructionSpec), (args, got)
+            assert (got.kind, got.func) == (want.kind, want.func)
+        else:
+            assert got == (SpecError if want is IndexError else want), (args, got, want)
+        outcomes.add(want if isinstance(want, type) else "spec")
+    assert outcomes >= {"spec", SpecError} | ({IndexError} if theorem == "theorem2" else set())
 
 
 def test_corollary1_4_8_verifies(rng):

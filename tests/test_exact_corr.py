@@ -13,6 +13,7 @@ from ccckit.exact_corr import (
     is_zero_exact,
     poly_divmod_exact,
     poly_mul,
+    radical,
     zero_count_rows,
 )
 from ccckit.qary import restriction_values
@@ -34,7 +35,7 @@ def test_cyclotomic_small():
     assert cyclotomic(12) == (1, 0, -1, 0, 1)
 
 
-@pytest.mark.parametrize("n", range(1, 31))
+@pytest.mark.parametrize("n", [*range(1, 31), 64, 72, 100])
 def test_cyclotomic_product_identity(n):
     prod = (1,)
     for d in range(1, n + 1):
@@ -42,6 +43,10 @@ def test_cyclotomic_product_identity(n):
             prod = poly_mul(prod, cyclotomic(d))
     expect = tuple([-1] + [0] * (n - 1) + [1])
     assert prod == expect
+
+
+def test_radical():
+    assert [radical(n) for n in (1, 2, 4, 12, 97, 65536, 70000)] == [1, 2, 2, 6, 97, 2, 70]
 
 
 def test_poly_divmod_requires_monic():
@@ -87,13 +92,25 @@ def test_is_zero_agrees_with_float(rng):
 
 
 def test_zero_count_rows_matches_scalar():
+    """The folded matmul test agrees with polynomial division, squarefree q or not."""
     rng = random.Random(5)
-    rows = np.array(
-        [[rng.randrange(-4, 5) for _ in range(6)] for _ in range(200)], dtype=np.int64
-    )
-    flags = zero_count_rows(rows, 6)
-    for row, flag in zip(rows, flags):
-        assert is_zero_exact(GroupRingElement(6, tuple(int(v) for v in row))) == bool(flag)
+    for q in (6, 4, 8, 9, 12, 18, 50, 64):
+        phi = cyclotomic(q)
+        rows = []
+        for i in range(200):
+            if i % 2:  # a multiple of Phi_q in Z[x]/(x^q - 1): zero, unless the last step perturbs it
+                row = [0] * q
+                for a, b in enumerate(rng.randrange(-3, 4) for _ in range(q)):
+                    for t, c in enumerate(phi):
+                        row[(a + t) % q] += b * c
+                row[rng.randrange(q)] += rng.choice([0, 0, 1])
+            else:
+                row = [rng.randrange(-4, 5) for _ in range(q)]
+            rows.append(row)
+        flags = zero_count_rows(np.array(rows, dtype=np.int64), q)
+        for row, flag in zip(rows, flags):
+            assert is_zero_exact(GroupRingElement(q, tuple(row))) == bool(flag), q
+        assert 0 < flags.sum() < len(rows), q
 
 
 def test_conjugate():

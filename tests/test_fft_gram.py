@@ -4,12 +4,14 @@ Every comparison uses a large ``max_violations`` so the full ordered list of
 violating cells, with their exact counts, must agree.
 """
 
+import resource
+
 import numpy as np
 import pytest
 
 import ccckit as ck
 from ccckit import exact_corr, verify
-from ccckit.cli import spec_from_config
+from ccckit.cli import main, spec_from_config
 
 
 def blocks(*pairs):
@@ -155,7 +157,7 @@ def test_small_tiles_cover_every_cell(monkeypatch):
     """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
     assert exact_corr.plan_tiles(7, 5, 12)[:2] == (1, 1)
-    monkeypatch.setattr(exact_corr, "TILE_BYTES", 40_000)
+    monkeypatch.setattr(exact_corr, "TILE_BYTES", 42_000)  # k = 5, mc = 2
     k, mc, _ = exact_corr.plan_tiles(7, 5, 12)
     assert 1 < k < 7 and 7 % k and 1 < mc < 5
     rng = np.random.default_rng(11)
@@ -245,6 +247,28 @@ def test_tile_plan_stays_within_budget():
         k, mc, nbytes = exact_corr.plan_tiles(K, M, L)
         assert 1 <= k <= K and 1 <= mc <= M
         assert nbytes <= exact_corr.TILE_BYTES
+
+
+@pytest.mark.parametrize("q", [65536, 70000])
+def test_verify_at_any_alphabet_size(tmp_path, capsys, q):
+    """Verify memory does not grow with phi(q) q.
+
+    Neither a (q, phi(q)) reduction matrix nor a root table per character is
+    built: at q = 65536 each took 16 GiB, so either would lift the peak
+    resident size far past the margin.
+    """
+    C = ck.CodeSet(q, np.zeros((2, 2, 3), dtype=np.int64))  # Theta = M (L - tau) for every pair
+    off_peak = [(a, b, tau) for a in range(2) for b in range(2) for tau in range(3) if (a, tau) != (b, 0)]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+    for mode in ("exact", "float"):
+        report = ck.verify_ccc(C, mode=mode)
+        assert (report.is_ccc, report.total_violations, report.kernel) == (False, 10, "fft-gram")
+        assert [(v.k1, v.k2, v.tau) for v in report.violations] == off_peak
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before < 256 << 10
+    path = tmp_path / "zero.json"
+    path.write_text(C.dumps())
+    assert main(["verify", str(path), "--max-violations", "1"]) == 1
+    assert "NOT a CCC (10 violating cells)" in capsys.readouterr().out
 
 
 def test_max_violations_caps_the_sorted_list():

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+from math import prod
 
 import numpy as np
 import pytest
@@ -323,8 +325,14 @@ def test_restriction_digit_bound_error():
 
 
 def test_restriction_index_order():
-    values = restriction_values(D72, (1, 3))
-    assert [restriction_index(D72, (1, 3), c) for c in values] == list(range(6))
-    # J listed across blocks in reversed order still groups block 1 fastest
-    values = restriction_values(D72, (3, 1))
-    assert [restriction_index(D72, (3, 1), c) for c in values] == list(range(6))
+    """restriction_values lists class i at index i: the builders enumerate it instead of recounting."""
+    rng = np.random.default_rng(7)
+    for blocks in [((2, 3), (3, 2)), ((4, 3),), ((6, 2),), ((2, 2), (3, 2), (5, 1)), ((3, 2), (5, 2)), ((2, 4),)]:
+        d = DomainSpec(blocks)
+        radix = d.radix_per_position
+        for size in range(min(d.m, 4) + 1):
+            for J in itertools.combinations(range(d.m), size):
+                J = tuple(rng.permutation(J).tolist())  # J listed in any order, across blocks
+                values = restriction_values(d, J)
+                assert len(values) == prod(radix[j] for j in J)
+                assert [restriction_index(d, J, c) for c in values] == list(range(len(values))), (blocks, J)

@@ -1,4 +1,4 @@
-"""Repository checks: names the benchmark rebinds still exist; the README lists the public API."""
+"""Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API."""
 
 import fnmatch
 import importlib.util
@@ -7,7 +7,8 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SPANS = ROOT / "perfbench" / "spans.py"
+PERFBENCH = ROOT / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 README = ROOT / "README.md"
 
 
@@ -17,6 +18,25 @@ def test_perfbench_span_targets_exist():
     spec.loader.exec_module(spans)
     for owner, attr, name, _ in spans._targets():
         assert attr in vars(owner), f"span {name}: {owner.__name__}.{attr} no longer exists"
+
+
+def test_perfbench_library_names_resolve():
+    """Every ccckit name the workloads and the pinning script reach (ck.*, ccckit.*, exact_corr.*) exists."""
+    import ccckit
+    import ccckit.cli  # noqa: F401
+    from ccckit import exact_corr
+
+    modules = {"ck": ccckit, "ccckit": ccckit, "exact_corr": exact_corr}
+    seen = set()
+    for script in ("workloads.py", "pin.py"):
+        text = (PERFBENCH / script).read_text()
+        for root, path in re.findall(r"\b(ck|ccckit|exact_corr)((?:\.[A-Za-z_]\w*)+)", text):
+            obj = modules[root]
+            for attr in path.split(".")[1:]:
+                assert hasattr(obj, attr), f"{script}: {root}{path} does not resolve"
+                obj = getattr(obj, attr)
+            seen.add(root + path)
+    assert {"exact_corr.reduction_matrix", "ck.cli.spec_from_config", "ck.necessity_probe"} <= seen
 
 
 def test_readme_public_api_lists_the_exports():
