@@ -62,8 +62,15 @@ def _rand_perm_table(rng: random.Random, q: int, p: int) -> tuple:
     return tuple(sigma[u % p] + p * rng.randrange(q // p) for u in range(q))
 
 
+def _int(v) -> int:
+    """A JSON integer, as it is: a bool, float, string or anything else is a config error, never cast."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ConfigError(f"expected a JSON integer, got {v!r}")
+    return v
+
+
 def _ints(t) -> tuple:
-    return tuple(int(v) for v in t)
+    return tuple(_int(v) for v in t)
 
 
 def _tables(ts) -> tuple:
@@ -73,7 +80,7 @@ def _tables(ts) -> tuple:
 def _coupling(c) -> tuple:
     if not isinstance(c, dict):
         raise ConfigError("each coupling must be a JSON object")
-    return int(c.get("lam", 0)), tuple(c["f"]), tuple(c["h"])
+    return _int(c.get("lam", 0)), _ints(c["f"]), _ints(c["h"])
 
 
 def _per_block(cfg, key, count, default, convert) -> list:
@@ -96,7 +103,7 @@ def _offsets(raw):
         return None
     if not isinstance(raw, dict):
         raise ConfigError("offsets must be a JSON object")
-    return {int(k): v for k, v in raw.items()}
+    return {int(k): _int(v) for k, v in raw.items()}
 
 
 def _maybe_per_restriction(raw, convert):
@@ -112,18 +119,18 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     kind = cfg.get("kind")
     rng = random.Random(cfg.get("seed", 0) if seed is None else seed)
     if kind == "theorem1":
-        q, m = int(cfg["q"]), int(cfg["m"])
-        pi = tuple(cfg.get("pi") or rng.sample(range(m), m))
+        q, m = _int(cfg["q"]), _int(cfg["m"])
+        pi = _ints(cfg.get("pi") or rng.sample(range(m), m))
         h = _per_block(cfg, "h", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         hp = _per_block(cfg, "hp", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         g = _per_block(cfg, "g", m, lambda _: _rand_table(rng, q), _ints)
         spec = theorem1_spec(q, m, h, hp, g, pi)
     elif kind == "corollary1":
-        q, m, n = int(cfg["q"]), int(cfg["m"]), int(cfg["n"])
-        J = tuple(cfg.get("J") or range(m - n, m))
+        q, m, n = _int(cfg["q"]), _int(cfg["m"]), _int(cfg["n"])
+        J = _ints(cfg.get("J") or range(m - n, m))
         free = sorted(set(range(m)) - set(J))
         raw_pi = cfg.get("pi")
-        pi = _maybe_per_restriction(raw_pi, tuple) if raw_pi else tuple(free)
+        pi = _maybe_per_restriction(raw_pi, _ints) if raw_pi else tuple(free)
         h = _per_block(cfg, "h", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         hp = _per_block(cfg, "hp", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         g_raw = cfg.get("g")
@@ -136,30 +143,30 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
             offsets = _offsets(offsets)
         spec = corollary1_spec(q, m, n, J, pi, h, hp, g, offsets)
     elif kind in ("theorem2", "corollary3"):
-        domain = DomainSpec.from_json(cfg["blocks"])
+        domain = DomainSpec(tuple((_int(b["p"]), _int(b["m"])) for b in cfg["blocks"]))
         q, k = domain.q, domain.k
         if kind == "theorem2":
             if k != 2:
                 raise ConfigError("theorem2 needs exactly two blocks")
             (p1, m1), (p2, m2) = domain.blocks
-            pi = tuple(cfg.get("pi") or rng.sample(range(m1), m1))
-            pip = tuple(cfg.get("pip") or (m1 + i for i in rng.sample(range(m2), m2)))
+            pi = _ints(cfg.get("pi") or rng.sample(range(m1), m1))
+            pip = _ints(cfg.get("pip") or (m1 + i for i in rng.sample(range(m2), m2)))
             f = _per_block(cfg, "f", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
             fp = _per_block(cfg, "fp", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
             h = _per_block(cfg, "h", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
             hp = _per_block(cfg, "hp", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
             g = _per_block(cfg, "g", m1, lambda _: _rand_table(rng, q), _ints)
             gp = _per_block(cfg, "gp", m2, lambda _: _rand_table(rng, q), _ints)
-            f0 = tuple(cfg.get("f0") or _rand_table(rng, q))
-            h0 = tuple(cfg.get("h0") or _rand_table(rng, q))
-            lam = int(cfg.get("lam", rng.randrange(q)))
+            f0 = _ints(cfg.get("f0") or _rand_table(rng, q))
+            h0 = _ints(cfg.get("h0") or _rand_table(rng, q))
+            lam = _int(cfg.get("lam", rng.randrange(q)))
             spec = theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam)
         else:
             p, m = zip(*domain.blocks)
-            n = _per_block(cfg, "n", k, lambda _: 0, int)
+            n = _per_block(cfg, "n", k, lambda _: 0, _int)
             J = _per_block(cfg, "J", k, lambda i: domain.block_positions(i)[m[i] - n[i] :], _ints)
             free = [tuple(j for j in domain.block_positions(i) if j not in J[i]) for i in range(k)]
-            pis = _per_block(cfg, "pi", k, lambda i: free[i], lambda v: _maybe_per_restriction(v, tuple))
+            pis = _per_block(cfg, "pi", k, lambda i: free[i], lambda v: _maybe_per_restriction(v, _ints))
 
             def rand_chains(i):
                 perm = functools.partial(_rand_perm_table, rng, q, p[i])
@@ -182,12 +189,14 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
         if not isinstance(corrupt, dict):
             raise ConfigError("a corrupt stanza must be a JSON object")
         table = corrupt.get("table")
-        if table is None and "constant" in corrupt:
-            table = [int(corrupt["constant"])] * spec.func.domain.q
+        if table is not None:
+            table = _ints(table)
+        elif "constant" in corrupt:
+            table = [_int(corrupt["constant"])] * spec.func.domain.q
         spec = corrupt_spec(
             spec,
-            int(corrupt.get("block", 0)),
-            int(corrupt.get("chain", 0)),
+            _int(corrupt.get("block", 0)),
+            _int(corrupt.get("chain", 0)),
             corrupt.get("which", "f"),
             table,
         )

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .construct import _check_alloc
 from .waveform import RootSequence
 
 # ---------------------------------------------------------------------------
@@ -47,17 +48,6 @@ def poly_trim(p) -> tuple[int, ...]:
     while p and p[-1] == 0:
         p.pop()
     return tuple(p)
-
-
-def poly_mul(a, b) -> tuple[int, ...]:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return poly_trim(out)
 
 
 def poly_divmod_exact(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -123,20 +113,17 @@ def reduction_matrix(q: int) -> np.ndarray:
     """(q, deg Phi_q) int64 matrix; row j holds x^j reduced modulo Phi_q.
 
     counts @ matrix is the remainder of the counts polynomial, so a batch of
-    group-ring elements can be zero-tested with one integer matmul.
+    group-ring elements can be zero-tested with one integer matmul.  A matrix
+    beyond physical memory is refused before allocation (``ConfigError``).
     """
-    phi = cyclotomic(q)
-    d = len(phi) - 1
+    low = np.array(cyclotomic(q)[:-1], dtype=np.int64)  # Phi_q is monic: x^d = -low (mod Phi_q)
+    d = low.size
+    _check_alloc(8 * q * d, f"the ({q}, {d}) reduction matrix of Phi_{q}")
     rows = np.zeros((q, d), dtype=np.int64)
-    cur = [1] + [0] * max(d - 1, 0)
-    for j in range(q):
-        rows[j, : len(cur)] = cur
-        cur = [0] + cur  # multiply by x
-        if len(cur) > d:
-            lead = cur.pop()
-            if lead:
-                for t in range(d):
-                    cur[t] -= lead * phi[t]
+    rows[:d] = np.eye(d, dtype=np.int64)
+    for j in range(d, q):  # x^j = x * x^(j-1)
+        rows[j, 1:] = rows[j - 1, :-1]
+        rows[j] -= rows[j - 1, -1] * low
     rows.setflags(write=False)
     return rows
 
@@ -191,20 +178,17 @@ class GroupRingElement:
 
 
 def is_zero_exact(g: GroupRingElement) -> bool:
-    """True iff g is zero as a complex number.
-
-    The evaluation map Z[x]/(x^q - 1) -> C at a primitive q-th root has
-    kernel generated by Phi_q, so zero-ness is exactly divisibility of the
-    counts polynomial by Phi_q.  Pure-int arithmetic; no precision caveats.
-    """
-    _, rem = poly_divmod_exact(g.counts, cyclotomic(g.q))
-    return not rem
+    """True iff g is zero as a complex number: ``zero_count_rows`` on its one row."""
+    return bool(zero_count_rows(np.array([g.counts], dtype=np.int64), g.q)[0])
 
 
 def zero_count_rows(counts: np.ndarray, q: int) -> np.ndarray:
     """Boolean vector: which rows of an (N, q) counts matrix are exactly zero.
 
-    With r = radical(q) and s = q / r, Phi_q(x) = Phi_r(x^s).  Split a row's
+    The evaluation map Z[x]/(x^q - 1) -> C at a primitive q-th root has
+    kernel generated by Phi_q, so a row is zero iff its counts polynomial is
+    divisible by Phi_q: pure integer arithmetic, no precision caveats.  With
+    r = radical(q) and s = q / r, Phi_q(x) = Phi_r(x^s).  Split a row's
     polynomial by the exponent mod s: sum_b x^b C_b(x^s), b < s.  It is
     divisible by Phi_r(x^s) iff every C_b(y) is divisible by Phi_r(y), since
     the remainders occupy disjoint exponents.  So each row folds into s rows
@@ -215,7 +199,7 @@ def zero_count_rows(counts: np.ndarray, q: int) -> np.ndarray:
     N = counts.shape[0]
     folded = counts.astype(np.int64).reshape(N, r, s).transpose(0, 2, 1).reshape(N * s, r)
     rem = folded @ reduction_matrix(r)
-    return ~rem.reshape(N, -1).any(axis=1)
+    return ~rem.any(axis=1).reshape(N, s).any(axis=1)
 
 
 def counts_to_complex(counts: np.ndarray, q: int) -> np.ndarray:
@@ -261,25 +245,32 @@ def code_accf(row1, row2, tau: int) -> GroupRingElement:
 
 
 def pair_counts(e1, m1, e2, m2, q, taus=None) -> np.ndarray:
-    """(len(taus), q) int64 counts of two code rows (M, L) at each shift in taus.
+    """(..., len(taus), q) int64 counts of code rows (..., M, L) at each shift in taus.
 
-    Row i holds the multiplicities of the exponents of Theta(tau) for
-    tau = taus[i], any shift in (-L, L); the default is 0 .. L-1.  A mask of
-    None means every entry is defined.
+    Entry [..., i, :] holds the multiplicities of the exponents of Theta(tau)
+    for tau = taus[i], any shift in (-L, L); the default is 0 .. L-1.  The
+    leading axes of the two rows broadcast: two (M, L) rows give
+    (len(taus), q), one code against a (K, M, L) set gives (K, len(taus), q).
+    Each shift is one bincount, every pair in its own q bins.  A mask of None
+    means every entry is defined.
     """
-    L = e1.shape[1]
+    L = e1.shape[-1]
     taus = range(L) if taus is None else taus
-    out = np.empty((len(taus), q), dtype=np.int64)
+    batch = np.broadcast_shapes(e1.shape[:-2], e2.shape[:-2])
+    bins = np.arange(math.prod(batch), dtype=np.int64).reshape(batch + (1, 1)) * q
+    out = np.empty(batch + (len(taus), q), dtype=np.int64)
     for i, tau in enumerate(taus):
         if not -L < tau < L:
             raise ValueError(f"shift {tau} out of range for length {L}")
         s1, s2 = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L), slice(0, L + tau))
-        d = np.subtract(e1[:, s1], e2[:, s2], dtype=np.int64) % q  # widen: stored exponents are unsigned
+        d = np.subtract(e1[..., s1], e2[..., s2], dtype=np.int64) % q  # widen: stored exponents are unsigned
+        d += bins
         valid = None
         for mask, s in ((m1, s1), (m2, s2)):
             if mask is not None:
-                valid = mask[:, s] if valid is None else valid & mask[:, s]
-        out[i] = np.bincount(d.ravel() if valid is None else d[valid], minlength=q)
+                valid = mask[..., s] if valid is None else valid & mask[..., s]
+        d = d.ravel() if valid is None else d[np.broadcast_to(valid, d.shape)]
+        out[..., i, :] = np.bincount(d, minlength=bins.size * q).reshape(batch + (q,))
     return out
 
 
@@ -367,7 +358,7 @@ def character_units(q: int) -> tuple[int, ...]:
     return tuple(j for j in range(q // 2 + 1) if math.gcd(j, q) == 1)
 
 
-def fft_gram_bound(M: int, L: int, q: int) -> float:
+def fft_gram_bound(M: int, L: int) -> float:
     """A-priori bound on |Theta_hat_j - Theta_j| for every cell and character j.
 
     u = 2^-53, gamma_n = n u / (1 - n u), N = fft_length(L), P = M L.
@@ -448,7 +439,7 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     reaches the threshold at some character j evaluated.  Returns the number
     of nonzero cells and the smallest ``limit`` of their keys (a K + b) L + tau,
     sorted.  By default the characters are character_units(q) and the
-    threshold is 1/2: the exact test while fft_gram_bound(M, L, q) < 1/2.
+    threshold is 1/2: the exact test while fft_gram_bound(M, L) < 1/2.
     Given a float ``tol``, the advisory test runs instead: the one character
     j = 1 against the threshold tol.
 

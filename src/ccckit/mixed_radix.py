@@ -126,10 +126,6 @@ class DomainSpec:
     def to_json(self) -> list[dict]:
         return [{"p": p, "m": mi} for p, mi in self.blocks]
 
-    @staticmethod
-    def from_json(data) -> "DomainSpec":
-        return DomainSpec(tuple((int(b["p"]), int(b["m"])) for b in data))
-
 
 def int_to_vec(x: int, d: DomainSpec) -> tuple[int, ...]:
     """Digit vector of x, block 1 first, least significant digit first."""

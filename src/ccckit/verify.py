@@ -16,13 +16,14 @@ the same loop with the character j = 1 and the threshold
 FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed budget
 (``exact_corr.TILE_BYTES``), whatever the set size.  Every violation it
 reports is recounted with integer arithmetic.  When the bound fails, the
-shiftwise loop (one integer bincount per pair and shift) runs instead; it is
-also the kernel's test oracle.
+shiftwise loop runs instead: one integer bincount per shift and code, which
+counts that code against the whole set.  It is also the kernel's test oracle.
 
 ``necessity_probe`` drives the converse direction: specs whose chain tables
 were deliberately corrupted must fail, and for uniform-domain specs with a
 constant chain table the failure provably localizes at the witness shifts
-tau = q^m - n * q^{m-i}, which are scanned first.
+tau = q^m - n * q^{m-i}, which are scanned first, by the same integer scan
+as the shiftwise loop.  Every exact zero test here is ``zero_count_rows``.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
     if mode == "float":
         bound, tol = 0.0, FLOAT_ZERO_FACTOR * M * L
     else:
-        bound, tol = fft_gram_bound(M, L, q), None
+        bound, tol = fft_gram_bound(M, L), None
     if bound < 0.5:
         total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations, tol)
         bad_cells = []
@@ -158,19 +159,32 @@ def _report(C: CodeSet, mode, cells, total, shifts, kernel, bound) -> VerifyRepo
     )
 
 
-def _shiftwise_cells(C: CodeSet) -> tuple[list, int]:
-    """(bad cells (a, b, tau, counts) in key order, cells tested): one bincount per pair and shift."""
+def _bad_cells(C: CodeSet, taus, limit: int | None = None) -> list:
+    """The nonzero cells (a, b, tau, counts) at the shifts taus, in (tau, a, b) order, the first ``limit``.
+
+    A cell's value is Theta(a, b)(tau) less M*L when a == b and tau == 0.  One
+    pair_counts call counts code a against the whole set at one shift and one
+    zero_count_rows call tests the K cells, so the temporaries stay O(K M L).
+    """
     K, M, L, q = C.K, C.M, C.L, C.q
-    bad_cells: list[tuple[int, int, int, np.ndarray]] = []
-    for a in range(K):
-        for b in range(K):
-            counts = pair_counts(*C.row(a), *C.row(b), q)
-            target = counts.copy()
-            if a == b:
-                target[0, 0] -= M * L  # demand exactly M*L at shift 0
-            for tau in np.flatnonzero(~zero_count_rows(target, q)):
-                bad_cells.append((a, b, int(tau), counts[tau]))
-    return bad_cells, K * K * L
+    cells: list[tuple[int, int, int, np.ndarray]] = []
+    for tau in taus:
+        for a in range(K):
+            counts = pair_counts(*C.row(a), C.exps, C.mask, q, (tau,))[:, 0]
+            target = counts
+            if tau == 0:
+                target = counts.copy()
+                target[a, 0] -= M * L  # demand exactly M*L at shift 0
+            for b in np.flatnonzero(~zero_count_rows(target, q)).tolist():
+                cells.append((a, b, tau, counts[b]))
+                if len(cells) == limit:
+                    return cells
+    return cells
+
+
+def _shiftwise_cells(C: CodeSet) -> tuple[list, int]:
+    """(bad cells (a, b, tau, counts) in key order, cells tested): every shift 0 .. L-1."""
+    return sorted(_bad_cells(C, range(C.L)), key=lambda cell: cell[:3]), C.K * C.K * C.L
 
 
 # ---------------------------------------------------------------------------
@@ -229,35 +243,16 @@ def necessity_probe(cs: ConstructionSpec) -> ProbeResult:
     if not cs.corrupted:
         raise ValueError("necessity_probe expects a spec flagged corrupted")
     C = build_code_set(cs)
-    q = C.q
-    rows = [C.row(k) for k in range(C.K)]
-    taus = witness_shifts(cs)
-    for tau in taus:
-        for k1, row1 in enumerate(rows):
-            for k2, row2 in enumerate(rows):
-                counts = pair_counts(*row1, *row2, q, (tau,))
-                if not zero_count_rows(counts, q)[0]:
-                    return ProbeResult(
-                        found=True,
-                        tau=tau,
-                        k1=k1,
-                        k2=k2,
-                        element=GroupRingElement(q, tuple(counts[0].tolist())),
-                        scanned_witness_shifts=tuple(taus),
-                    )
-    report = verify_ccc(C, mode="exact", max_violations=1)
-    if report.violations:
-        v = report.violations[0]
-        return ProbeResult(
-            found=True,
-            tau=v.tau,
-            k1=v.k1,
-            k2=v.k2,
-            element=v.element,
-            scanned_witness_shifts=tuple(taus),
-            used_full_scan=True,
-        )
-    return ProbeResult(found=False, scanned_witness_shifts=tuple(taus))
+    taus = tuple(witness_shifts(cs))
+    hit = _bad_cells(C, taus, 1)
+    full_scan = not hit
+    if full_scan:
+        report = verify_ccc(C, mode="exact", max_violations=1)
+        hit = [(v.k1, v.k2, v.tau, v.element.counts) for v in report.violations]
+    if not hit:
+        return ProbeResult(found=False, scanned_witness_shifts=taus)
+    k1, k2, tau, counts = hit[0]
+    return ProbeResult(True, tau, k1, k2, GroupRingElement(C.q, counts), taus, full_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -280,8 +275,6 @@ def lemma1_equiv_check(q: int, sample: int | None = None, seed: int = 0) -> bool
     otherwise checks `sample` random tables.  Returns True iff there is no
     counterexample.
     """
-    from .exact_corr import is_zero_exact
-
     def tables():
         if sample is None:
             if q**q > 100_000:
@@ -299,7 +292,8 @@ def lemma1_equiv_check(q: int, sample: int | None = None, seed: int = 0) -> bool
                 yield tuple(base)
 
     for t in tables():
-        vanish = all(is_zero_exact(character_sum(t, r)) for r in range(1, q))
+        sums = np.array([character_sum(t, r).counts for r in range(1, q)], dtype=np.int64).reshape(q - 1, q)
+        vanish = zero_count_rows(sums, q).all()
         if vanish != is_permutation_mod(t, q):
             return False
     return True

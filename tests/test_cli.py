@@ -250,6 +250,40 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, payload):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "theorem1", "q": 3.7, "m": 2},
+        {"kind": "theorem1", "q": 3, "m": 2.9},
+        {"kind": "corollary3", "blocks": [{"p": 2, "m": 2.5}, {"p": 3, "m": 2}]},
+        dict(CORRUPT_THEOREM1_32, corrupt={"constant": 1.5}),
+        {"kind": "theorem1", "q": True, "m": 2},
+        {"kind": "corollary1", "q": 3, "m": 3, "n": "1"},
+        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "lam": 4.0},
+        dict(CORRUPT_COROLLARY3, offsets={"0": 1.5}),
+        dict(CORRUPT_THEOREM1_32, corrupt={"table": [0, 0, 1.0]}),
+    ],
+    ids=["q_float", "m_float", "block_m_float", "corrupt_constant_float", "q_bool", "n_string",
+         "lam_float", "offsets_value_float", "corrupt_table_float"],
+)
+def test_non_integer_config_values_exit_2(tmp_path, capsys, payload):
+    """Config integers are read as JSON integers only; 3.7 is refused, not truncated to 3."""
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "cfg.json", payload), "--out", str(out)]) == 2
+    assert "expected a JSON integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_verify_refuses_a_reduction_matrix_beyond_memory(tmp_path, capsys, monkeypatch):
+    """At q = 65537 the exact zero test needs a (65537, 65536) int64 matrix, 32 GiB: a config error, not a crash."""
+    from ccckit import construct
+
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}[name])
+    path = write(tmp_path / "codes.json", {"q": 65537, "codes": [[[0, 1, 2]], [[0, 0, 0]]]})
+    assert main(["verify", path]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["build", "probe", "verify"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

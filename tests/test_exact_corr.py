@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 import ccckit as ck
-from ccckit import example72
+from ccckit import construct, example72
+from ccckit.construct import ConfigError
 from ccckit.exact_corr import (
     GroupRingElement,
     code_accf,
     correlation_profile,
     cyclotomic,
     is_zero_exact,
+    pair_counts,
     poly_divmod_exact,
-    poly_mul,
     radical,
+    reduction_matrix,
     zero_count_rows,
 )
 from ccckit.qary import restriction_values
@@ -37,12 +39,12 @@ def test_cyclotomic_small():
 
 @pytest.mark.parametrize("n", [*range(1, 31), 64, 72, 100])
 def test_cyclotomic_product_identity(n):
-    prod = (1,)
+    prod = np.ones(1, dtype=np.int64)
     for d in range(1, n + 1):
         if n % d == 0:
-            prod = poly_mul(prod, cyclotomic(d))
-    expect = tuple([-1] + [0] * (n - 1) + [1])
-    assert prod == expect
+            prod = np.convolve(prod, cyclotomic(d))
+    expect = [-1] + [0] * (n - 1) + [1]
+    assert prod.tolist() == expect
 
 
 def test_radical():
@@ -92,7 +94,7 @@ def test_is_zero_agrees_with_float(rng):
 
 
 def test_zero_count_rows_matches_scalar():
-    """The folded matmul test agrees with polynomial division, squarefree q or not."""
+    """The folded matmul test agrees with polynomial long division by Phi_q, squarefree q or not."""
     rng = random.Random(5)
     for q in (6, 4, 8, 9, 12, 18, 50, 64):
         phi = cyclotomic(q)
@@ -109,8 +111,23 @@ def test_zero_count_rows_matches_scalar():
             rows.append(row)
         flags = zero_count_rows(np.array(rows, dtype=np.int64), q)
         for row, flag in zip(rows, flags):
-            assert is_zero_exact(GroupRingElement(q, tuple(row))) == bool(flag), q
+            assert (not poly_divmod_exact(row, phi)[1]) == bool(flag), q
         assert 0 < flags.sum() < len(rows), q
+
+
+def test_reduction_matrix_rows_are_powers_of_x_mod_phi():
+    for q in (1, 2, 6, 9, 12, 30):
+        phi = cyclotomic(q)
+        for j, row in enumerate(reduction_matrix(q).tolist()):
+            rem = poly_divmod_exact((0,) * j + (1,), phi)[1]
+            assert row == list(rem) + [0] * (len(phi) - 1 - len(rem)), (q, j)
+
+
+def test_reduction_matrix_refuses_sizes_beyond_memory(monkeypatch):
+    # (65537, 65536) int64 is 32 GiB; the guard runs before numpy allocates it
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}[name])
+    with pytest.raises(ConfigError, match="reduction matrix .*physical memory"):
+        reduction_matrix(65537)
 
 
 def test_conjugate():
@@ -216,6 +233,24 @@ def test_code_accf_shape_errors():
 
 # ---------------------------------------------------------------------------
 # profiles and the convolution cross-check
+
+
+@pytest.mark.parametrize("holes", [False, True])
+def test_pair_counts_one_code_against_the_set(holes):
+    """A (K, M, L) set against one code gives (K, len(taus), q), each pair as its own call would."""
+    gen = np.random.default_rng(3)
+    K, M, L, q = 4, 3, 7, 6
+    exps = gen.integers(q, size=(K, M, L)).astype(np.uint8)
+    mask = gen.random((K, M, L)) >= 0.2 if holes else None
+    taus = (0, 3, -2, 6)
+    for a in range(K):
+        row = (exps[a], None if mask is None else mask[a])
+        together = pair_counts(*row, exps, mask, q, taus)
+        assert together.shape == (K, len(taus), q)
+        for b in range(K):
+            alone = pair_counts(*row, exps[b], None if mask is None else mask[b], q, taus)
+            assert np.array_equal(together[b], alone), (a, b)
+        assert np.array_equal(pair_counts(exps, mask, *row, q, taus)[a], together[a])
 
 
 def test_profile_negative_shifts_match_direct(rng):

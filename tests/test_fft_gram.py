@@ -213,18 +213,18 @@ def test_bound_below_half_on_benchmark_sets():
              (81, 2187, 3), (72, 432, 6), (60, 1800, 30), (36, 432, 6), (216, 2592, 6),
              (128, 16384, 2), (5, 25, 5)]
     for M, L, q in sizes:
-        assert exact_corr.fft_gram_bound(M, L, q) < 0.5, (M, L, q)
+        assert exact_corr.fft_gram_bound(M, L) < 0.5, (M, L, q)
 
 
 def test_bound_fails_for_huge_sets():
-    assert exact_corr.fft_gram_bound(2**20, 2**30, 6) >= 0.5
-    assert exact_corr.fft_gram_bound(2**30, 2**30, 30) >= 0.5
+    assert exact_corr.fft_gram_bound(2**20, 2**30) >= 0.5
+    assert exact_corr.fft_gram_bound(2**30, 2**30) >= 0.5
 
 
 def test_failed_bound_falls_back_to_shiftwise(monkeypatch):
     C = with_flips(ck.build_code_set(spec_from_config({"kind": "theorem1", "q": 6, "m": 2, "seed": 1})), 1)
     fast = ck.verify_ccc(C, max_violations=10**6)
-    monkeypatch.setattr(verify, "fft_gram_bound", lambda M, L, q: 0.5)
+    monkeypatch.setattr(verify, "fft_gram_bound", lambda M, L: 0.5)
     slow = ck.verify_ccc(C, max_violations=10**6)
     assert (fast.kernel, slow.kernel) == ("fft-gram", "shiftwise")
     assert slow.rounding_bound == 0.0

@@ -1,5 +1,7 @@
-"""Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API."""
+"""Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API;
+one integer counter and one exact zero test."""
 
+import ast
 import fnmatch
 import importlib.util
 import inspect
@@ -10,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 SPANS = PERFBENCH / "spans.py"
 README = ROOT / "README.md"
+SRC = ROOT / "src" / "ccckit"
 
 
 def test_perfbench_span_targets_exist():
@@ -52,3 +55,29 @@ def test_readme_public_api_lists_the_exports():
         assert fnmatch.filter(exported, pattern), f"{pattern} matches no export"
     unlisted = [n for n in exported - listed if not any(fnmatch.fnmatchcase(n, g) for g in globs)]
     assert not unlisted, f"exported but not in the README: {sorted(unlisted)}"
+
+
+def _calls(name):
+    """(module, enclosing function) of every call of ``name``, plain or as an attribute, under src/ccckit."""
+    found = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                    found.append((module, where))
+            visit(child, module, where)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return found
+
+
+def test_one_integer_counter_and_one_exact_zero_test():
+    """np.bincount runs in pair_counts alone; long division by Phi_n serves only cyclotomic itself."""
+    assert _calls("bincount") == [("exact_corr", "pair_counts")]
+    assert {where for _, where in _calls("poly_divmod_exact")} == {"cyclotomic"}

@@ -1,10 +1,13 @@
+import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import ccckit as ck
 from ccckit import example72
+from ccckit.cli import spec_from_config
 from ccckit.exact_corr import is_zero_exact
 from ccckit.qary import constant_table, identity_table
 from ccckit.verify import character_sum, witness_shifts
@@ -131,7 +134,58 @@ def test_sufficiency_randomized_mixed_suite(rng):
             assert report.peak == 2 ** (m1 + 1) * 3 ** (m2 + 1)
 
 
+def with_table(cs, block, chain, which, table):
+    """cs with one chain table swapped, not flagged corrupted: the valid counterpart of corrupt_spec."""
+    chains = [list(pairs) for pairs in cs.func.chains]
+    f, fp = chains[block][chain]
+    chains[block][chain] = (table, fp) if which == "f" else (f, table)
+    return ck.ConstructionSpec(cs.kind, replace(cs.func, chains=tuple(map(tuple, chains))))
+
+
+def single_slot_tables():
+    """(spec, block, chain, which, table, p) for every table of the slots the paper's iff is checked on.
+
+    theorem1 q=3 and q=4, m=3: every table in every chain slot.  corollary3
+    (2,2)x(3,2): chain 0 of each block, every value of the entries it evaluates
+    (inputs below p), the rest as built.
+    """
+    for q in (3, 4):
+        base = spec_from_config({"kind": "theorem1", "q": q, "m": 3, "seed": 1})
+        for chain, which in itertools.product(range(2), ("f", "fp")):
+            for table in itertools.product(range(q), repeat=q):
+                yield base, 0, chain, which, table, q
+    base = spec_from_config({"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "n": [0, 0],
+                             "seed": 1})
+    q = base.func.domain.q
+    for block, (p, _) in enumerate(base.func.domain.blocks):
+        rest = base.func.chains[block][0][0][p:]
+        for head in itertools.product(range(q), repeat=p):
+            yield base, block, 0, "f", head + rest, p
+
+
+def test_ccc_iff_every_chain_table_permutes():
+    """The paper's iff on every single-slot table: a CCC exactly when the table permutes Z_p.
+
+    Every non-permutation is also refuted by necessity_probe.  The specs use
+    seeded (not identity) orderings, so some refutations need the full scan.
+    """
+    seen = refuted = 0
+    for base, block, chain, which, table, p in single_slot_tables():
+        permutes = ck.is_permutation_mod(table, p)
+        spec = with_table(base, block, chain, which, table) if permutes else ck.corrupt_spec(
+            base, block, chain, which, table)
+        assert ck.verify_ccc(ck.build_code_set(spec), max_violations=0).is_ccc == permutes, (block, chain, which, table)
+        if not permutes:
+            result = ck.necessity_probe(spec)
+            assert result.found and not is_zero_exact(result.element), (block, chain, which, table)
+            refuted += 1
+        seen += 1
+    # permutations per slot: 3! of 3^3, 4! of 4^4, 2! 3 of 6^2 and 3! 2^3 of 6^3
+    assert (seen, refuted) == (4 * 27 + 4 * 256 + 36 + 216, 4 * (27 - 6) + 4 * (256 - 24) + (36 - 18) + (216 - 48))
+
+
 def test_lemma1_equivalence_exhaustive():
+    assert ck.lemma1_equiv_check(1)
     assert ck.lemma1_equiv_check(2)
     assert ck.lemma1_equiv_check(3)  # all 27 maps
     assert ck.lemma1_equiv_check(4)  # all 256 maps
