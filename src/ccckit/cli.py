@@ -27,6 +27,7 @@ import csv
 import functools
 import json
 import random
+import re
 import sys
 
 from . import example72
@@ -97,18 +98,25 @@ def _per_block(cfg, key, count, default, convert) -> list:
     return [convert(v) for v in raw]
 
 
+def _class_key(k) -> int:
+    """A restriction-class key of a config object: canonical decimal ("0", "12"), never " 1", "+1", "01" or "1_0"."""
+    if not isinstance(k, str) or not re.fullmatch("0|[1-9][0-9]*", k):
+        raise ConfigError(f"restriction class keys must be canonical decimal strings, got {k!r}")
+    return int(k)
+
+
 def _offsets(raw):
-    """An offsets config, a JSON object with integer keys, as a dict; None when absent."""
+    """An offsets config, a JSON object keyed by restriction class, as a dict; None when absent."""
     if raw is None:
         return None
     if not isinstance(raw, dict):
         raise ConfigError("offsets must be a JSON object")
-    return {int(k): _int(v) for k, v in raw.items()}
+    return {_class_key(k): _int(v) for k, v in raw.items()}
 
 
 def _maybe_per_restriction(raw, convert):
     if isinstance(raw, dict):
-        return {int(k): convert(v) for k, v in raw.items()}
+        return {_class_key(k): convert(v) for k, v in raw.items()}
     return convert(raw)
 
 
@@ -117,7 +125,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("a build config must be a JSON object")
     kind = cfg.get("kind")
-    rng = random.Random(cfg.get("seed", 0) if seed is None else seed)
+    rng = random.Random(_int(cfg.get("seed", 0)) if seed is None else seed)
     if kind == "theorem1":
         q, m = _int(cfg["q"]), _int(cfg["m"])
         pi = _ints(cfg.get("pi") or rng.sample(range(m), m))
@@ -210,7 +218,9 @@ def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
             raise ConfigError("kronecker needs a list of at least two input code-set paths")
         sets = [load_code_set(path) for path in inputs]
         out = sets[0]
-        skip = bool(cfg.get("skip_verify", False))
+        skip = cfg.get("skip_verify", False)
+        if not isinstance(skip, bool):
+            raise ConfigError(f"skip_verify must be a JSON bool, got {skip!r}")
         for nxt in sets[1:]:
             out = kronecker_compose(out, nxt, skip_verify=skip)
         return out

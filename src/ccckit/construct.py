@@ -31,7 +31,7 @@ from math import gcd, prod
 
 import numpy as np
 
-from .mixed_radix import DomainSpec, digit_matrix
+from .mixed_radix import DomainSpec, digit_matrix, place_digits
 from .qary import (
     GeneralizedQuadraticSpec,
     SpecError,
@@ -540,15 +540,12 @@ def seed_digits(cs: ConstructionSpec) -> list[np.ndarray]:
     Mixed: per block (block 1 fastest), base-p_i digits least significant first.
     """
     func = cs.func
-    idx = np.arange(set_size(cs), dtype=np.int64)
+    # the indices 0..K-1 are the points of the domain prod_i Z_{p_i}^{n_i + 1}
+    seed = DomainSpec(tuple((p, ni + 1) for (p, _), ni in zip(func.domain.blocks, func.n)))
+    digits = place_digits(np.arange(seed.L), seed.radix_per_position, seed.weights)
     if cs.kind == UNIFORM:
-        q, n = func.domain.q, func.n[0]
-        return [np.stack([(idx // q ** (n - v)) % q for v in range(n + 1)], axis=1)]
-    out = []
-    for (p, _), ni in zip(func.domain.blocks, func.n):
-        local, idx = idx % p ** (ni + 1), idx // p ** (ni + 1)
-        out.append(np.stack([(local // p**v) % p for v in range(ni + 1)], axis=1))
-    return out
+        return [digits[:, ::-1]]
+    return np.split(digits, seed.block_offsets[1:], axis=1)
 
 
 def build_code_set(cs: ConstructionSpec) -> CodeSet:
@@ -569,25 +566,13 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     work = exps_dtype(2 * q - 1)  # holds T + D <= 2q - 2
     _check_alloc(_tensor_bytes(K * K * L, q, work) + 8 * L * (d.m + 2 * K), f"a ({K}, {L}) code set over Z_{q}")
     digits = digit_matrix(d)
-
-    # per block, the digit at the first and the last chain slot of every point
-    first = np.empty((d.k, L), dtype=np.int64)
-    last = np.empty((d.k, L), dtype=np.int64)
-    flat_J = func.flat_J
-    for cidx, c in enumerate(restriction_values(d, flat_J)):
-        idx = np.flatnonzero((digits[:, list(flat_J)] == c).all(axis=1))
-        for i in range(d.k):
-            pi = func.pi_for(i, cidx)
-            first[i, idx] = digits[idx, pi[0]]
-            last[i, idx] = digits[idx, pi[-1]]
-
     T = np.broadcast_to(build_from_spec(func).table, (K, L)).copy()
     D = np.zeros((K, L), dtype=np.int64)
-    for i, S in enumerate(seed_digits(cs)):
+    for i, (S, slots) in enumerate(zip(seed_digits(cs), func.slot_digits())):
         w = func.chain_weight(i)
         restricted = S[:, :-1] @ digits[:, list(func.J[i])].T
-        T += w * (restricted + S[:, -1:] * last[i])
-        D += w * (restricted + S[:, -1:] * first[i])
+        T += w * (restricted + S[:, -1:] * slots[:, -1])
+        D += w * (restricted + S[:, -1:] * slots[:, 0])
     exps = np.empty((K, K, L), dtype=work)
     np.add((T % q).astype(work)[:, None], (D % q).astype(work)[None], out=exps)
     exps %= q

@@ -94,6 +94,11 @@ class DomainSpec:
         return tuple(out)
 
     @property
+    def weights(self) -> tuple[int, ...]:
+        """Place value of each of the m flat positions: digit j of block i weighs delta_i * p_i^j."""
+        return tuple(delta * p**j for delta, (p, mi) in zip(self.deltas, self.blocks) for j in range(mi))
+
+    @property
     def block_offsets(self) -> tuple[int, ...]:
         """Start index of each block in the flat digit vector."""
         out = [0]
@@ -123,53 +128,39 @@ class DomainSpec:
         off = self.block_offsets[i]
         return tuple(range(off, off + self.blocks[i][1]))
 
-    def to_json(self) -> list[dict]:
-        return [{"p": p, "m": mi} for p, mi in self.blocks]
+
+def place_digits(x, radix, weight) -> np.ndarray:
+    """Digits of x under a place-value map: digit t is x // weight[t] % radix[t], on a new last axis.
+
+    Every index <-> digit split in ccckit is one of these maps: points
+    (``digit_matrix``), restriction classes (``qary.restriction_values``) and
+    seed indices (``construct.seed_digits``).  int64 arithmetic.
+    """
+    x = np.asarray(x, dtype=np.int64)[..., None]
+    return x // np.asarray(weight, dtype=np.int64) % np.asarray(radix, dtype=np.int64)
 
 
 def int_to_vec(x: int, d: DomainSpec) -> tuple[int, ...]:
     """Digit vector of x, block 1 first, least significant digit first."""
     if not 0 <= x < d.L:
         raise ValueError(f"index {x} out of range [0, {d.L})")
-    digits = []
-    y = x
-    for p, mi in d.blocks:
-        sigma = y % (p**mi)
-        y //= p**mi
-        for _ in range(mi):
-            digits.append(sigma % p)
-            sigma //= p
-    return tuple(digits)
+    return tuple(x // w % p for w, p in zip(d.weights, d.radix_per_position))
 
 
 def vec_to_int(v, d: DomainSpec) -> int:
-    """Inverse of int_to_vec; validates digit bounds blockwise."""
+    """Inverse of int_to_vec; validates every digit against its bound."""
     v = tuple(v)
     if len(v) != d.m:
         raise ValueError(f"expected {d.m} digits, got {len(v)}")
-    x = 0
-    pos = 0
-    for delta, (p, mi) in zip(d.deltas, d.blocks):
-        sigma = 0
-        for j in range(mi):
-            digit = v[pos + j]
-            if not 0 <= digit < p:
-                raise ValueError(f"digit {digit} at position {pos + j} violates bound {p}")
-            sigma += digit * p**j
-        x += sigma * delta
-        pos += mi
-    return x
+    for j, (digit, p) in enumerate(zip(v, d.radix_per_position)):
+        if not 0 <= digit < p:
+            raise ValueError(f"digit {digit} at position {j} violates bound {p}")
+    return sum(digit * w for digit, w in zip(v, d.weights))
 
 
 @functools.lru_cache(maxsize=64)
 def digit_matrix(d: DomainSpec) -> np.ndarray:
-    """(L, m) array whose row x is int_to_vec(x, d).  Read-only."""
-    cols = []
-    idx = np.arange(d.L)
-    for (p, mi), delta in zip(d.blocks, d.deltas):
-        sigma = (idx // delta) % (p**mi)
-        for j in range(mi):
-            cols.append((sigma // p**j) % p)
-    out = np.stack(cols, axis=1).astype(np.int64)
+    """(L, m) int64 array whose row x is int_to_vec(x, d).  Read-only."""
+    out = place_digits(np.arange(d.L), d.radix_per_position, d.weights)
     out.setflags(write=False)
     return out

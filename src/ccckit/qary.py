@@ -27,7 +27,7 @@ from math import prod
 
 import numpy as np
 
-from .mixed_radix import DomainSpec, digit_matrix, int_to_vec, vec_to_int
+from .mixed_radix import DomainSpec, digit_matrix, int_to_vec, place_digits, vec_to_int
 
 
 class SpecError(ValueError):
@@ -194,53 +194,39 @@ def zero_function(d: DomainSpec) -> QaryFunction:
 # ---------------------------------------------------------------------------
 # restrictions
 
-def restriction_index(d: DomainSpec, J, c) -> int:
-    """Canonical integer labelling the restriction digits c on positions J.
+def restriction_weights(d: DomainSpec, J) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(radix, weight) of each position of J in the place-value map of restriction classes.
 
-    Per block, the digits of c at that block's J-positions are read least
-    significant first; block 1 contributes the fastest-varying part.
+    Per block, the positions of J in that block are read least significant
+    first, in J's order; block 1 contributes the fastest-varying part.
     """
+    J = tuple(J)
+    block = [d.block_of_position(j) for j in J]
+    radix = tuple(d.radix_per_position[j] for j in J)
+    weight = [0] * len(J)
+    w = 1
+    for t in sorted(range(len(J)), key=block.__getitem__):  # stable: J's order within a block
+        weight[t], w = w, w * radix[t]
+    return radix, tuple(weight)
+
+
+def restriction_index(d: DomainSpec, J, c) -> int:
+    """Canonical integer labelling the restriction digits c on positions J (see restriction_weights)."""
     J = tuple(J)
     c = tuple(int(v) for v in c)
     if len(J) != len(c):
         raise ValueError("J and c must have equal length")
-    idx = 0
-    stride = 1
-    for i, (p, _) in enumerate(d.blocks):
-        members = [(j, cj) for j, cj in zip(J, c) if d.block_of_position(j) == i]
-        local = 0
-        for t, (j, cj) in enumerate(members):
-            if not 0 <= cj < p:
-                raise ValueError(f"restriction digit {cj} at position {j} violates bound {p}")
-            local += cj * p**t
-        idx += local * stride
-        stride *= p ** len(members)
-    return idx
+    radix, weight = restriction_weights(d, J)
+    for j, cj, p in zip(J, c, radix):
+        if not 0 <= cj < p:
+            raise ValueError(f"restriction digit {cj} at position {j} violates bound {p}")
+    return sum(cj * w for cj, w in zip(c, weight))
 
 
 def restriction_values(d: DomainSpec, J) -> list[tuple[int, ...]]:
-    """All digit tuples c for positions J; the one at list index i has restriction_index i.
-
-    Builders take the restriction class of c from this order (``enumerate``)
-    rather than recomputing restriction_index.
-    """
-    J = tuple(J)
-    radix = d.radix_per_position
-    per_block: list[list[int]] = [[] for _ in d.blocks]
-    for pos_in_J, j in enumerate(J):
-        per_block[d.block_of_position(j)].append(pos_in_J)
-    order: list[int] = []
-    for members in per_block:
-        order.extend(members)
-    out = []
-    ranges = [range(radix[J[pos]]) for pos in order]
-    for combo in itertools.product(*reversed(ranges)):
-        combo = tuple(reversed(combo))
-        c = [0] * len(J)
-        for pos, val in zip(order, combo):
-            c[pos] = val
-        out.append(tuple(c))
-    return out
+    """All digit tuples c for positions J; the one at list index i has restriction_index i."""
+    radix, weight = restriction_weights(d, J)
+    return [tuple(c) for c in place_digits(np.arange(prod(radix)), radix, weight).tolist()]
 
 
 @dataclass(frozen=True)
@@ -379,14 +365,15 @@ class GeneralizedQuadraticSpec:
             raise SpecError(f"offsets must be a mapping or None, got {type(self.offsets).__name__}")
         offsets = {int(k): int(v) % q for k, v in (self.offsets or {}).items()}
         object.__setattr__(self, "offsets", offsets)
-        # per-restriction dicts must cover every restriction class
-        classes = range(self.restriction_count())
+        # per-restriction dicts must key every restriction class and no other
+        classes = set(range(self.restriction_count()))
         for name, per_block in (("pis", self.pis), ("gs", self.gs)):
             for i, entry in enumerate(per_block):
-                if isinstance(entry, dict) and not set(entry) >= set(classes):
-                    missing = sorted(set(classes) - set(entry))
-                    raise SpecError(f"{name}[{i}] misses restriction classes {missing}")
-        if not set(offsets) <= set(classes):
+                if isinstance(entry, dict) and set(entry) != classes:
+                    if classes - set(entry):
+                        raise SpecError(f"{name}[{i}] misses restriction classes {sorted(classes - set(entry))}")
+                    raise SpecError(f"{name}[{i}] carries unknown restriction classes {sorted(set(entry) - classes)}")
+        if not set(offsets) <= classes:
             raise SpecError("offsets carry unknown restriction classes")
 
     @staticmethod
@@ -415,6 +402,21 @@ class GeneralizedQuadraticSpec:
 
     def restriction_count(self) -> int:
         return prod(p**ni for (p, _), ni in zip(self.domain.blocks, self.n))
+
+    def restriction_classes(self) -> np.ndarray:
+        """(L,) restriction index of every point."""
+        _, weight = restriction_weights(self.domain, self.flat_J)
+        return digit_matrix(self.domain)[:, list(self.flat_J)] @ np.asarray(weight, dtype=np.int64)
+
+    def slot_digits(self) -> list[np.ndarray]:
+        """Per block i, the (L, m_i - n_i) digits of every point at the chain slots, in its class's pi order."""
+        digits = digit_matrix(self.domain)
+        classes = self.restriction_classes()
+        out = []
+        for i in range(self.domain.k):
+            pis = np.array([self.pi_for(i, c) for c in range(self.restriction_count())])
+            out.append(np.take_along_axis(digits, pis[classes], axis=1))
+        return out
 
     def pi_for(self, block: int, cidx: int) -> tuple[int, ...]:
         return _per_restriction(self.pis[block], cidx)
@@ -454,31 +456,21 @@ def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
                             * h_{i'}(x at first chain slot of block i'+1)
         + offset(c),  all mod q.
     """
-    d = s.domain
-    q = d.q
-    digits = digit_matrix(d)
-    table = np.zeros(d.L, dtype=np.int64)
-    flat_J = s.flat_J
-    for cidx, c in enumerate(restriction_values(d, flat_J)):
-        mask = np.ones(d.L, dtype=bool)
-        for j, cj in zip(flat_J, c):
-            mask &= digits[:, j] == cj
-        sel = digits[mask]
-        acc = np.full(sel.shape[0], s.offset_for(cidx), dtype=np.int64)
-        pis = [s.pi_for(i, cidx) for i in range(d.k)]
-        for i in range(d.k):
-            w = s.chain_weight(i)
-            pi = pis[i]
-            for j, (f, fp) in enumerate(s.chains[i]):
-                fa = np.asarray(f, dtype=np.int64)[sel[:, pi[j]]]
-                fb = np.asarray(fp, dtype=np.int64)[sel[:, pi[j + 1]]]
-                acc = (acc + w * fa * fb) % q
-            for j, g in enumerate(s.gs_for(i, cidx)):
-                acc = (acc + np.asarray(g, dtype=np.int64)[sel[:, pi[j]]]) % q
-        for i, (lam, f, h) in enumerate(s.couplings):
-            if lam:
-                fa = np.asarray(f, dtype=np.int64)[sel[:, pis[i][-1]]]
-                hb = np.asarray(h, dtype=np.int64)[sel[:, pis[i + 1][0]]]
-                acc = (acc + lam * fa * hb) % q
-        table[mask] = acc
-    return QaryFunction(d, table, provenance=s)
+    q = s.domain.q
+    classes = s.restriction_classes()
+    slots = s.slot_digits()
+    table = np.array([s.offset_for(c) for c in range(s.restriction_count())], dtype=np.int64)[classes]
+    for i, x in enumerate(slots):
+        w = s.chain_weight(i)
+        for j, (f, fp) in enumerate(s.chains[i]):
+            f, fp = np.asarray(f, dtype=np.int64), np.asarray(fp, dtype=np.int64)
+            table = (table + w * f[x[:, j]] * fp[x[:, j + 1]]) % q
+        g = np.array([s.gs_for(i, c) for c in range(s.restriction_count())], dtype=np.int64)
+        for j in range(x.shape[1]):
+            table = (table + g[classes, j, x[:, j]]) % q
+    for i, (lam, f, h) in enumerate(s.couplings):
+        if lam:
+            fa = np.asarray(f, dtype=np.int64)[slots[i][:, -1]]
+            hb = np.asarray(h, dtype=np.int64)[slots[i + 1][:, 0]]
+            table = (table + lam * fa * hb) % q
+    return QaryFunction(s.domain, table, provenance=s)

@@ -1,7 +1,8 @@
-"""Shared generators for randomized construction specs."""
+"""Shared generators for randomized construction specs, and the test oracles several modules use."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import numpy as np
@@ -97,6 +98,60 @@ def counts_via_convolution(row1, row2) -> np.ndarray:
                 # output index u back to shift tau = t' - t with tau + L - 1 = u
                 conv = np.convolve(hot1[r1], hot2[r2][::-1])[::-1]
                 out[:, (r1 - r2) % q] += conv
+    return out
+
+
+# ---------------------------------------------------------------------------
+# index <-> digit oracles: per-block loops, independent of mixed_radix.place_digits
+
+
+def oracle_int_to_vec(x: int, d: ck.DomainSpec) -> tuple:
+    """Split x per block (block 1 first), then each block's value into base-p digits, least significant first."""
+    digits = []
+    for p, mi in d.blocks:
+        sigma, x = x % p**mi, x // p**mi
+        for _ in range(mi):
+            digits.append(sigma % p)
+            sigma //= p
+    return tuple(digits)
+
+
+def oracle_digit_matrix(d: ck.DomainSpec) -> np.ndarray:
+    """(L, m) digits of every point, one block and one digit column at a time."""
+    cols = []
+    idx = np.arange(d.L)
+    for (p, mi), delta in zip(d.blocks, d.deltas):
+        sigma = (idx // delta) % (p**mi)
+        for j in range(mi):
+            cols.append((sigma // p**j) % p)
+    return np.stack(cols, axis=1).astype(np.int64)
+
+
+def oracle_restriction_index(d: ck.DomainSpec, J, c) -> int:
+    """Per block, the digits of c at that block's J-positions, least significant first; block 1 fastest."""
+    idx = 0
+    stride = 1
+    for i, (p, _) in enumerate(d.blocks):
+        members = [cj for j, cj in zip(J, c) if d.block_of_position(j) == i]
+        idx += sum(cj * p**t for t, cj in enumerate(members)) * stride
+        stride *= p ** len(members)
+    return idx
+
+
+def oracle_restriction_values(d: ck.DomainSpec, J) -> list:
+    """Every digit tuple c on positions J, listed by itertools.product in restriction-index order."""
+    J = tuple(J)
+    radix = d.radix_per_position
+    per_block = [[] for _ in d.blocks]
+    for pos_in_J, j in enumerate(J):
+        per_block[d.block_of_position(j)].append(pos_in_J)
+    order = [pos for members in per_block for pos in members]
+    out = []
+    for combo in itertools.product(*reversed([range(radix[J[pos]]) for pos in order])):
+        c = [0] * len(J)
+        for pos, val in zip(order, reversed(combo)):
+            c[pos] = val
+        out.append(tuple(c))
     return out
 
 

@@ -18,10 +18,9 @@ import ccckit as ck
 from ccckit import construct, exact_corr
 from ccckit.cli import load_code_set, main, spec_from_config
 from ccckit.construct import UNIFORM, CodeSet, ConfigError, exps_dtype, set_size
-from ccckit.mixed_radix import digit_matrix
-from ccckit.qary import build_from_spec, restriction_index, restriction_values
+from ccckit.qary import build_from_spec
 
-from conftest import rand_perm_table, rand_table
+from conftest import oracle_digit_matrix, oracle_restriction_values, rand_perm_table, rand_table
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -49,11 +48,10 @@ def oracle_build(cs):
     d = func.domain
     q = d.q
     base = build_from_spec(func).table.astype(np.int64)
-    digits = digit_matrix(d)
+    digits = oracle_digit_matrix(d)
     K = set_size(cs)
     classes = []
-    for c in restriction_values(d, func.flat_J):
-        cidx = restriction_index(d, func.flat_J, c)
+    for cidx, c in enumerate(oracle_restriction_values(d, func.flat_J)):
         mask = np.ones(d.L, dtype=bool)
         for j, cj in zip(func.flat_J, c):
             mask &= digits[:, j] == cj

@@ -290,3 +290,56 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     path.write_text("[" * 100_000 + "]" * 100_000)
     assert main([command, str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+# corollary1 over Z_2^3 with J = [0]: restriction classes 0 and 1, one chain
+KEYED = {"kind": "corollary1", "q": 2, "m": 3, "n": 1, "J": [0], "seed": 1}
+KEYED_ENTRIES = {
+    "offsets": lambda key: {"0": 1, key: 1},
+    "pi": lambda key: {"0": [1, 2], key: [2, 1]},
+    "g": lambda key: {"0": [[0, 1], [1, 1]], key: [[1, 0], [0, 0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize("entry", sorted(KEYED_ENTRIES))
+@pytest.mark.parametrize("key", [" +1 ", "+1", "01", "0_1", "1 ", "1\n", "١"],
+                         ids=["padded_signed", "signed", "leading_zero", "underscore", "trailing_space",
+                              "trailing_newline", "arabic_indic_one"])
+def test_class_keys_must_be_canonical_decimal(tmp_path, capsys, command, entry, key):
+    """Every spelling above reads as class 1 under int(); a config names a class in canonical decimal only."""
+    cfg = dict(KEYED, **{entry: KEYED_ENTRIES[entry](key)}, corrupt={"constant": 0})
+    assert main([command, write(tmp_path / "cfg.json", cfg)]) == 2
+    assert "canonical decimal" in capsys.readouterr().err
+    cfg = dict(KEYED, **{entry: KEYED_ENTRIES[entry]("1")}, corrupt={"constant": 0})
+    assert main([command, write(tmp_path / "cfg.json", cfg)]) == 0
+
+
+def test_unknown_class_in_a_per_restriction_dict_exits_2(tmp_path, capsys):
+    cfg = dict(KEYED, pi={"0": [1, 2], "1": [2, 1], "2": [1, 2]})
+    assert main(["build", write(tmp_path / "cfg.json", cfg)]) == 2
+    assert "unknown restriction classes [2]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "abc", None, [1]])
+def test_config_seed_is_a_json_integer(tmp_path, capsys, seed):
+    """true is not seed 1, and 1.5 or "abc" are not seeds at all."""
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "cfg.json", dict(KEYED, seed=seed)), "--out", str(out)]) == 2
+    assert "expected a JSON integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("skip", ["no", "false", 0, 1, None])
+def test_kronecker_skip_verify_is_a_json_bool(tmp_path, capsys, skip):
+    """"no" is truthy in Python; it must not skip the check that refuses a non-CCC factor."""
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    corrupt = {"block": 0, "chain": 0, "which": "f", "constant": 1}
+    assert main(["build", write(tmp_path / "cb.json", dict(THEOREM1_22, corrupt=corrupt)), "--out", str(bad)]) == 0
+    assert main(["build", write(tmp_path / "cg.json", THEOREM1_22), "--out", str(good)]) == 0
+    cfg = {"kind": "kronecker", "inputs": [str(bad), str(good)]}
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "kr.json", dict(cfg, skip_verify=skip)), "--out", str(out)]) == 2
+    assert "skip_verify must be a JSON bool" in capsys.readouterr().err
+    assert main(["build", write(tmp_path / "kr.json", cfg), "--out", str(out)]) == 2  # the bad factor is refused
+    assert main(["build", write(tmp_path / "kr.json", dict(cfg, skip_verify=True)), "--out", str(out)]) == 0

@@ -1,6 +1,11 @@
+import random
+
+import numpy as np
 import pytest
 
 from ccckit.mixed_radix import DomainSpec, digit_matrix, int_to_vec, vec_to_int
+
+from conftest import oracle_digit_matrix, oracle_int_to_vec
 
 D72 = DomainSpec(((2, 3), (3, 2)))
 
@@ -11,6 +16,7 @@ def test_derived_parameters():
     assert D72.block_sizes == (8, 9)
     assert D72.block_offsets == (0, 3)
     assert D72.radix_per_position == (2, 2, 2, 3, 3)
+    assert D72.weights == (1, 2, 4, 8, 24)
     assert D72.L % D72.q == 0
 
 
@@ -101,3 +107,31 @@ def test_block_of_position():
     assert D72.block_positions(1) == (3, 4)
     with pytest.raises(ValueError):
         D72.block_of_position(5)
+
+
+# every domain this file uses
+DOMAINS = [((2, 3), (3, 2)), ((2, 2), (3, 1), (5, 1)), ((4, 3),), ((6, 2),), ((7, 1),), ((5, 4),),
+           ((2, 2), (3, 2), (5, 1)), ((6, 3),)]
+
+
+@pytest.mark.parametrize("blocks", DOMAINS)
+def test_place_value_map_matches_per_block_oracles(blocks):
+    d = DomainSpec(blocks)
+    mat = digit_matrix(d)
+    assert mat.dtype == np.int64 and np.array_equal(mat, oracle_digit_matrix(d))
+    for x in range(d.L):
+        assert int_to_vec(x, d) == oracle_int_to_vec(x, d)
+    units = [tuple(int(t == j) for t in range(d.m)) for j in range(d.m)]
+    assert d.weights == tuple(vec_to_int(u, d) for u in units)
+
+
+def test_index_maps_beyond_int64():
+    """int_to_vec and vec_to_int stay on Python integers, so L above 2^63 works."""
+    d = DomainSpec(((2, 40), (3, 30), (5, 20)))
+    assert d.L > 2**63
+    rng = random.Random(5)
+    for x in [0, 1, d.L - 1] + [rng.randrange(d.L) for _ in range(200)]:
+        v = int_to_vec(x, d)
+        assert v == oracle_int_to_vec(x, d)
+        assert all(type(digit) is int for digit in v)
+        assert vec_to_int(v, d) == x

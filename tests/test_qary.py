@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from math import prod
 
 import numpy as np
@@ -8,6 +9,14 @@ import pytest
 import ccckit as ck
 from ccckit import example72
 from ccckit.mixed_radix import DomainSpec, digit_matrix
+
+from conftest import (
+    oracle_digit_matrix,
+    oracle_restriction_index,
+    oracle_restriction_values,
+    rand_perm_table,
+    rand_table,
+)
 from ccckit.qary import (
     GeneralizedQuadraticSpec,
     MonomialForm,
@@ -156,8 +165,6 @@ def test_build_from_spec_formula_oracle(rng):
     # mixed spec vs an independent pointwise evaluation of the defining sum
     d = DomainSpec(((2, 2), (3, 2)))
     q = d.q
-    from conftest import rand_perm_table, rand_table
-
     chains = (
         ((rand_perm_table(rng, q, 2), rand_perm_table(rng, q, 2)),),
         ((rand_perm_table(rng, q, 3), rand_perm_table(rng, q, 3)),),
@@ -251,6 +258,16 @@ def test_per_restriction_dict_coverage():
             domain=d, J=((2,),), pis=((0, 1),),
             chains=(((ident, ident),),), gs=((zero, zero),), offsets={5: 1},
         )
+    with pytest.raises(SpecError, match=r"pis\[0\] carries unknown restriction classes \[3\]"):
+        GeneralizedQuadraticSpec(
+            domain=d, J=((2,),), pis=({0: (0, 1), 1: (1, 0), 2: (0, 1), 3: (1, 0)},),
+            chains=(((ident, ident),),), gs=((zero, zero),),
+        )
+    with pytest.raises(SpecError, match=r"gs\[0\] carries unknown restriction classes \[-1\]"):
+        GeneralizedQuadraticSpec(
+            domain=d, J=((2,),), pis=((0, 1),),
+            chains=(((ident, ident),),), gs=({c: (zero, zero) for c in (-1, 0, 1, 2)},),
+        )
 
 
 @pytest.mark.parametrize("offsets", ["x", [1], (0, 1), 3])
@@ -325,14 +342,98 @@ def test_restriction_digit_bound_error():
 
 
 def test_restriction_index_order():
-    """restriction_values lists class i at index i: the builders enumerate it instead of recounting."""
+    """restriction_values and restriction_index agree with the itertools and per-block oracles."""
     rng = np.random.default_rng(7)
     for blocks in [((2, 3), (3, 2)), ((4, 3),), ((6, 2),), ((2, 2), (3, 2), (5, 1)), ((3, 2), (5, 2)), ((2, 4),)]:
         d = DomainSpec(blocks)
-        radix = d.radix_per_position
         for size in range(min(d.m, 4) + 1):
             for J in itertools.combinations(range(d.m), size):
                 J = tuple(rng.permutation(J).tolist())  # J listed in any order, across blocks
                 values = restriction_values(d, J)
-                assert len(values) == prod(radix[j] for j in J)
+                assert values == oracle_restriction_values(d, J), (blocks, J)
                 assert [restriction_index(d, J, c) for c in values] == list(range(len(values))), (blocks, J)
+                assert [oracle_restriction_index(d, J, c) for c in values] == list(range(len(values))), (blocks, J)
+
+
+# ---------------------------------------------------------------------------
+# structured specs against the per-class loops the array build replaced
+
+
+def oracle_build_from_spec(s):
+    """Value table of s, one restriction class at a time, with the itertools class enumeration."""
+    d = s.domain
+    q = d.q
+    digits = oracle_digit_matrix(d)
+    table = np.zeros(d.L, dtype=np.int64)
+    flat_J = s.flat_J
+    for cidx, c in enumerate(oracle_restriction_values(d, flat_J)):
+        mask = np.ones(d.L, dtype=bool)
+        for j, cj in zip(flat_J, c):
+            mask &= digits[:, j] == cj
+        sel = digits[mask]
+        acc = np.full(sel.shape[0], s.offset_for(cidx), dtype=np.int64)
+        pis = [s.pi_for(i, cidx) for i in range(d.k)]
+        for i in range(d.k):
+            w = s.chain_weight(i)
+            pi = pis[i]
+            for j, (f, fp) in enumerate(s.chains[i]):
+                fa = np.asarray(f, dtype=np.int64)[sel[:, pi[j]]]
+                fb = np.asarray(fp, dtype=np.int64)[sel[:, pi[j + 1]]]
+                acc = (acc + w * fa * fb) % q
+            for j, g in enumerate(s.gs_for(i, cidx)):
+                acc = (acc + np.asarray(g, dtype=np.int64)[sel[:, pi[j]]]) % q
+        for i, (lam, f, h) in enumerate(s.couplings):
+            if lam:
+                fa = np.asarray(f, dtype=np.int64)[sel[:, pis[i][-1]]]
+                hb = np.asarray(h, dtype=np.int64)[sel[:, pis[i + 1][0]]]
+                acc = (acc + lam * fa * hb) % q
+        table[mask] = acc
+    return table
+
+
+def oracle_classes_and_slots(s):
+    """(L,) class of every point and, per block, its (L, m_i - n_i) chain-slot digits, class by class."""
+    d = s.domain
+    digits = oracle_digit_matrix(d)
+    classes = np.full(d.L, -1)
+    slots = [np.full((d.L, len(s.chains[i]) + 1), -1) for i in range(d.k)]
+    for cidx, c in enumerate(oracle_restriction_values(d, s.flat_J)):
+        idx = np.flatnonzero((digits[:, list(s.flat_J)] == c).all(axis=1))
+        classes[idx] = cidx
+        for i in range(d.k):
+            slots[i][idx] = digits[np.ix_(idx, s.pi_for(i, cidx))]
+    return classes, slots
+
+
+def rand_general_spec(rng):
+    """1-3 blocks, n_i = m_i - 1 or m_i - 2 with J in any order, per-class or shared pi and g, nonzero couplings."""
+    k = rng.randint(1, 3)
+    if k == 1 and rng.random() < 0.3:
+        blocks = ((rng.choice([4, 6]), rng.randint(1, 3)),)
+    else:
+        blocks = tuple((p, rng.randint(2, {2: 4, 3: 3, 5: 2}[p])) for p in sorted(rng.sample([2, 3, 5], k)))
+    d = DomainSpec(blocks)
+    q = d.q
+    J = tuple(tuple(rng.sample(d.block_positions(i), max(0, mi - rng.randint(1, 2)))) for i, (_, mi) in enumerate(blocks))
+    C = prod(p ** len(Ji) for (p, _), Ji in zip(blocks, J))
+    pis, chains, gs = [], [], []
+    for i, (p, _) in enumerate(blocks):
+        free = [j for j in d.block_positions(i) if j not in J[i]]
+        pis.append({c: tuple(rng.sample(free, len(free))) for c in range(C)} if rng.random() < 0.6
+                   else tuple(rng.sample(free, len(free))))
+        chains.append(tuple((rand_perm_table(rng, q, p), rand_perm_table(rng, q, p)) for _ in free[1:]))
+        gs.append({c: tuple(rand_table(rng, q) for _ in free) for c in range(C)} if rng.random() < 0.6
+                  else tuple(rand_table(rng, q) for _ in free))
+    couplings = tuple((rng.randrange(1, q), rand_table(rng, q), rand_table(rng, q)) for _ in range(k - 1))
+    offsets = {c: rng.randrange(q) for c in range(C) if rng.random() < 0.7}
+    return GeneralizedQuadraticSpec(d, J, tuple(pis), tuple(chains), tuple(gs), couplings, offsets)
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_build_from_spec_matches_the_per_class_oracle(seed):
+    s = rand_general_spec(random.Random(seed))
+    classes, slots = oracle_classes_and_slots(s)
+    assert np.array_equal(s.restriction_classes(), classes)
+    for got, want in zip(s.slot_digits(), slots):
+        assert np.array_equal(got, want)
+    assert np.array_equal(build_from_spec(s).table, oracle_build_from_spec(s))

@@ -1,5 +1,5 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API;
-one integer counter and one exact zero test."""
+one integer counter, one exact zero test and one place-value map."""
 
 import ast
 import fnmatch
@@ -81,3 +81,11 @@ def test_one_integer_counter_and_one_exact_zero_test():
     """np.bincount runs in pair_counts alone; long division by Phi_n serves only cyclotomic itself."""
     assert _calls("bincount") == [("exact_corr", "pair_counts")]
     assert {where for _, where in _calls("poly_divmod_exact")} == {"cyclotomic"}
+
+
+def test_one_place_value_map():
+    """Points, restriction classes and seed indices split into digits through mixed_radix.place_digits,
+    and neither builder loops over restriction classes."""
+    callers = {where for _, where in _calls("place_digits")}
+    assert {"digit_matrix", "restriction_values", "seed_digits"} <= callers
+    assert not {where for _, where in _calls("restriction_values")} & {"build_from_spec", "build_code_set"}
