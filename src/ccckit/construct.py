@@ -231,10 +231,16 @@ class CodeSet:
         last entry), and two more ids open the first and a later sequence of a
         code.  Table rows are NUL-padded to one width; the padding is dropped.
         Each code's text is decoded on its own and all parts are joined once,
-        which keeps peak memory near two copies of the payload.
+        which keeps peak memory near two copies of the payload.  Two copies of
+        its upper bound beyond physical memory are refused before any part is
+        built (``ConfigError``).
         """
         K, M, L = self.exps.shape
         parts = [f'{{"K":{K},"L":{L},"M":{M},"codes":']
+        tail = f',"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n'
+        widest = max(len(str(self.q - 1)), 0 if self.mask is None else len("null"))
+        text = (widest + 1) * K * M * L + 2 * K * M + 2 * K + 2 + len(parts[0]) + len(tail)
+        _check_alloc(2 * text, f"the canonical text of a ({K}, {L}) code set over Z_{self.q}")
         if not self.exps.size:
             parts.append(_canonical(self.exps.tolist()))
         else:
@@ -257,7 +263,7 @@ class CodeSet:
                 row[:, -1] += n
                 parts += [table[row].tobytes().replace(b"\0", b"").decode(), "],"]
             parts[-1] = "]]"
-        parts.append(f',"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n')
+        parts.append(tail)
         return "".join(parts)
 
     @staticmethod

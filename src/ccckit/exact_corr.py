@@ -19,9 +19,12 @@ norm, the product of its images over all units j, so one image has modulus
 >= 1, and ``fft_gram_bound`` proves every computed image within 1/2 of the
 true one (FFT error after Percival, Math. Comp. 72 (2003) 387-395).  Callers
 check the bound first and fall back to the integer shiftwise counts when it
-fails.  Its buffers fit one fixed budget, ``TILE_BYTES``.  Evaluated at the
-one character j = 1 against a magnitude threshold, it is also the advisory
-float check.
+fails.  It works in tiles of code pairs: per chunk of sequences, one FFT call
+gives a block's spectra, bin-major, and one batched matmul over the bins the
+tile's Gram; a diagonal tile transforms its pairs a <= b only.  Its buffers
+fit one fixed budget, ``TILE_BYTES``, and ``plan_tiles`` picks the tile
+shape of least modelled time within it.  Evaluated at the one character
+j = 1 against a magnitude threshold, it is also the advisory float check.
 
 Shift convention: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau}) over the t
 with 0 <= t, t + tau < L, for any tau in (-L, L).  ``pair_counts`` is the one
@@ -332,10 +335,10 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
 # zero iff max_{j unit, j <= q/2} |Theta_j| < 1/2 whenever every computed
 # Theta_j is within 1/2 of the true one, which ``fft_gram_bound`` proves.
 # Each Theta_j comes from the frequency-domain Gram identity C(z) C^H(1/z):
-# FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin,
-# inverse FFT.
+# FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin (a
+# batched matmul), inverse FFT.
 
-TILE_BYTES = 3 << 18  # working set of one fft_gram_cells call (768 KiB), whatever the set size
+TILE_BYTES = 2 << 20  # working set of one fft_gram_cells call (2 MiB), whatever the set size
 UNIT_ROUNDOFF = 2.0**-53
 ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, r < q
 
@@ -374,6 +377,16 @@ def fft_gram_bound(M: int, L: int) -> float:
     The root table is within ROOT_ERROR for every q, so q does not enter.
     A bound below 1/2 makes the threshold test of fft_gram_cells exact; the
     caller checks it.
+
+    g bounds the Gram sum whatever order BLAS zgemm adds in.  Its real and
+    imaginary parts are sums of the real products ar br, ai bi, ai br, ar bi;
+    a product that passes through at most D roundings on its way into the
+    sum is off by at most gamma_D of itself, in any summation order, and an
+    FMA, which rounds a product and an addition once, only lowers D.  Since
+    |ar br| + |ai bi| and |ai br| + |ar bi| have a root-sum-square of at most
+    sqrt 2 |a| |b|, the Gram error is at most sqrt 2 gamma_D sum |a| |b|.  A
+    matmul over mc sequences, split any way, gives D <= 2 mc; the sum over
+    c chunks adds c - 1, and plan_tiles keeps 2 mc + c - 1 <= M + 2.
     """
     u = UNIT_ROUNDOFF
 
@@ -392,44 +405,107 @@ def fft_gram_bound(M: int, L: int) -> float:
     return theta_err
 
 
-def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
-    """(k, mc, bytes): codes per tile side, sequences per FFT batch, working set.
+def tile_bytes(N: int, L: int, k: int, mc: int) -> int:
+    """Working set of one character slot of fft_gram_cells under the plan (k, mc) at FFT length N.
 
-    A tile pairs k codes with k codes; its buffers are the two spectrum
-    batches (k, mc, N) with the root lookup that fills them and its int64
-    exponents j e mod q, the Gram of the character in hand (k, k, N), one
-    scratch (k, k, N) for a Gram chunk or |Theta|, and two flag arrays.  k
-    grows first (each code's spectra are recomputed once per tile it meets),
-    then mc, while the total stays within TILE_BYTES; k = mc = 1 is the floor.
+    Two spectrum blocks (N, k, mc), the Gram (N, k, k) and one scratch of the
+    same size (a Gram chunk, the upper triangle of a diagonal tile, or
+    |Theta|), the int64 exponents j e mod q of one block (L, k, mc), and two
+    (N, k, k) flag arrays.
+    """
+    return 16 * N * (2 * k * mc + 2 * k * k) + 8 * L * k * mc + 2 * N * k * k
+
+
+def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
+    """(k, mc, bytes): codes per tile side, sequences per Gram chunk, working set of one character.
+
+    Among the plans within TILE_BYTES, the one of least modelled time per
+    character.  For each k the largest mc that fits sets the number of
+    chunks, and mc shrinks to the least that gives as many.  The model, in
+    seconds on a 2-vCPU x86-64 host with one BLAS thread: every sequence is
+    filled and transformed once per block of its tile row, K M ceil(K/k)
+    times, at 1.2 ns N log2 N + 10 ns L each; each (tile, chunk) costs 40 us
+    of Python and a batched matmul of N Gram products, each 0.45 us + 0.5 ns
+    per multiply-add in BLAS zgemm, or 4.5 ns per multiply-add in numpy's own
+    loop, which takes an outer product (mc = 1) or a vector (k = 1); each
+    tile costs 30 us more.
+    k = mc = 1 is the floor when nothing fits.  A plan that leaves room for
+    several characters evaluates them together (fft_gram_cells).  A set of
+    M >= 3 sequences takes two chunks at least, which keeps the roundings of
+    each Gram product within fft_gram_bound's M + 2.
     """
     N = fft_length(L)
-
-    def cost(k, mc):
-        return 16 * k * mc * (2 * N + L) + 8 * k * mc * L + 34 * k * k * N
-
+    fft = 1.2e-9 * N * max(N.bit_length() - 1, 1) + 10e-9 * L
+    best = (math.inf, 1, 1)
     k = 1
-    while k < K and cost(k + 1, 1) <= TILE_BYTES:
+    while k <= K and tile_bytes(N, L, k, 1) <= TILE_BYTES:
+        room = TILE_BYTES - tile_bytes(N, L, k, 0)
+        chunks = -(-M // min(M, room // (32 * N * k + 8 * L * k)))
+        while 2 * -(-M // chunks) + chunks - 1 > M + 2:
+            chunks += 1
+        mc = -(-M // chunks)
+        blocks = -(-K // k)
+        tiles = blocks * (blocks + 1) // 2
+        product = 4.5e-9 * k * k * mc if min(k, mc) == 1 else 0.45e-6 + 0.5e-9 * k * k * mc
+        t = K * M * blocks * fft + tiles * (chunks * (40e-6 + N * product) + 30e-6)
+        if t < best[0]:
+            best = (t, k, mc)
         k += 1
-    mc = 1
-    while mc < M and cost(k, mc + 1) <= TILE_BYTES:
-        mc += 1
-    return k, mc, cost(k, mc)
+    _, k, mc = best
+    return k, mc, tile_bytes(N, L, k, mc)
 
 
-def _spectra(buf, exps, mask, roots, j, k0, kk, m0, mm, N):
-    """FFT (zero-padded to N) at the character j of the sequences exps[k0:k0+kk, m0:m0+mm], in buf.
+def _spectra(buf, index, exps, mask, roots, js, k0, kk, m0, mm, N):
+    """Bin-major FFT (N, J, kk, mm), zero-padded to N, of exps[k0:k0+kk, m0:m0+mm] at the J characters js, in buf.
 
-    roots is the one table _roots(q, 1); the entry of exponent e is roots[j e mod q].
+    roots is the one table _roots(q, 1); the entry of exponent e at the
+    character j is roots[j e mod q], looked up through the int64 buffer ``index``.
     """
     L = exps.shape[2]
-    x = buf[: kk * mm * N].reshape(kk, mm, N)
-    e = np.multiply(exps[k0 : k0 + kk, m0 : m0 + mm], j, dtype=np.int64)  # widen: j e overflows the storage dtype
+    J = js.size
+    x = buf[: N * J * kk * mm].reshape(N, J, kk, mm)
+    e = index[: L * J * kk * mm].reshape(L, J, kk, mm)
+    np.copyto(e, exps[k0 : k0 + kk, m0 : m0 + mm].transpose(2, 0, 1)[:, None])  # widen: j e overflows the storage dtype
+    e *= js[:, None, None]
     e %= roots.size
-    np.take(roots, e, out=x[..., :L], mode="clip")
+    roots.take(e, out=x[:L], mode="clip")
     if mask is not None:
-        x[..., :L] *= mask[k0 : k0 + kk, m0 : m0 + mm]
-    x[..., L:] = 0
-    return np.fft.fft(x, axis=-1, out=x)
+        x[:L] *= mask[k0 : k0 + kk, m0 : m0 + mm].transpose(2, 0, 1)[:, None]
+    x[L:] = 0
+    return np.fft.fft(x, axis=0, out=x)
+
+
+def _theta(bufs, exps, mask, roots, js, a0, ka, b0, kb, mc, upper=None):
+    """Theta_hat of the code pairs of the tile (a0, b0) at every bin and character of js: an (N, J, pairs) view.
+
+    bufs = (spec_a, spec_b, gram, scratch, index), sized by plan_tiles for at
+    least J = js.size characters.  Pairs run in row-major (a, b) order; on a
+    diagonal tile only the pairs a <= b, the flat indices ``upper`` of the
+    ka x ka Gram, which is moved into the scratch.  Otherwise the values stay
+    in the Gram.  Per chunk of mc sequences, each block's spectra come from
+    one FFT call and the Gram from one batched matmul over the bins and
+    characters, summed over the chunks.
+    """
+    spec_a, spec_b, gram, scratch, index = bufs
+    M, L = exps.shape[1:]
+    N, J = fft_length(L), js.size
+    th = gram[: N * J * ka * kb].reshape(N, J, ka, kb)
+    for m0 in range(0, M, mc):
+        mm = min(mc, M - m0)
+        xa = _spectra(spec_a, index, exps, mask, roots, js, a0, ka, m0, mm, N)
+        if upper is not None:
+            xb = np.conjugate(xa, out=spec_b[: xa.size].reshape(xa.shape))
+        else:
+            xb = _spectra(spec_b, index, exps, mask, roots, js, b0, kb, m0, mm, N)
+            np.conjugate(xb, out=xb)
+        if m0:
+            th += np.matmul(xa, xb.transpose(0, 1, 3, 2), out=scratch[: th.size].reshape(th.shape))
+        else:
+            np.matmul(xa, xb.transpose(0, 1, 3, 2), out=th)
+    theta = th.reshape(N, J, ka * kb)
+    if upper is not None:
+        theta = theta.take(upper, axis=2, out=scratch[: N * J * upper.size].reshape(N, J, upper.size), mode="clip")
+    return np.fft.ifft(theta, axis=0, out=theta)
 
 
 def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None = None) -> tuple[int, np.ndarray]:
@@ -444,60 +520,62 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     j = 1 against the threshold tol.
 
     Tiles of code pairs (a-block <= b-block) share preallocated buffers sized
-    by plan_tiles.  One inverse FFT per pair gives tau >= 0 of (a, b) at bins
-    N - tau and, through conjugation, tau >= 0 of (b, a) at bins tau.
+    by plan_tiles, for as many characters at once as TILE_BYTES holds (one at
+    least); _theta computes a tile's values.  One inverse FFT per pair gives
+    tau >= 0 of (a, b) at bins N - tau and, through conjugation, tau >= 0 of
+    (b, a) at bins tau, so a diagonal tile needs its pairs a <= b only.
     """
     K, M, L = exps.shape
     N = fft_length(L)
-    js, threshold = (character_units(q), 0.5) if tol is None else ((1,), tol)
-    k, mc, _ = plan_tiles(K, M, L)
-    spec_a = np.empty(k * mc * N, complex)
-    spec_b = np.empty(k * mc * N, complex)
-    theta = np.empty(k * k * N, complex)
-    scratch = np.empty(k * k * N, complex)  # a Gram chunk, later |Theta| in its real part
-    flag = np.empty(k * k * N, bool)
-    bad = np.empty(k * k * N, bool)
+    js, threshold = (np.array(character_units(q)), 0.5) if tol is None else (np.array([1]), tol)
+    k, mc, nbytes = plan_tiles(K, M, L)
+    J = max(1, min(js.size, TILE_BYTES // nbytes))  # characters per pass
+    bufs = (
+        np.empty(N * J * k * mc, complex),  # the spectra of the a-block
+        np.empty(N * J * k * mc, complex),  # the conjugate spectra of the b-block
+        np.empty(N * J * k * k, complex),  # the Gram
+        np.empty(N * J * k * k, complex),  # its scratch
+        np.empty(L * J * k * mc, np.int64),  # the exponents j e mod q
+    )
+    gram, scratch = bufs[2:4]
+    flag = np.empty(N * J * k * k, bool)
+    bad = np.empty(N * J * k * k, bool)
     roots = _roots(q, 1)  # q entries: one table serves every character
     peak = M * L
     total, kept = 0, np.empty(0, np.int64)
     for a0 in range(0, K, k):
+        ka = min(k, K - a0)
+        upper_a, upper_b = np.triu_indices(ka)
+        upper = upper_a * ka + upper_b
+        peaks = np.where(upper_a == upper_b, complex(peak), 0)  # bin 0 of the pairs (a, a) holds the peak
         for b0 in range(a0, K, k):
-            ka, kb = min(k, K - a0), min(k, K - b0)
-            cells = ka * kb * N
-            th, g = theta[:cells].reshape(ka, kb, N), scratch[:cells].reshape(ka, kb, N)
-            f, nz = flag[:cells].reshape(th.shape), bad[:cells].reshape(th.shape)
+            diagonal = b0 == a0
+            kb = min(k, K - b0)
+            cols = upper.size if diagonal else ka * kb
+            nz = bad[: N * J * cols].reshape(N, J, cols)  # flagged cells, per character slot
             nz[:] = False
-            for j in js:
-                for m0 in range(0, M, mc):
-                    mm = min(mc, M - m0)
-                    xa = _spectra(spec_a, exps, mask, roots, j, a0, ka, m0, mm, N)
-                    if b0 == a0:
-                        xb = np.conjugate(xa, out=spec_b[: xa.size].reshape(xa.shape))
-                    else:
-                        xb = _spectra(spec_b, exps, mask, roots, j, b0, kb, m0, mm, N)
-                        np.conjugate(xb, out=xb)
-                    if m0 == 0:
-                        np.einsum("amf,bmf->abf", xa, xb, out=th)
-                    else:
-                        np.einsum("amf,bmf->abf", xa, xb, out=g)
-                        th += g
-                np.fft.ifft(th, axis=-1, out=th)
-                if a0 == b0:
-                    for a in range(ka):
-                        th[a, a, 0] -= peak
-                np.greater_equal(np.abs(th, out=g.real), threshold, out=f)
-                nz |= f
+            for c0 in range(0, js.size, J):
+                part = js[c0 : c0 + J]
+                theta = _theta(bufs, exps, mask, roots, part, a0, ka, b0, kb, mc, upper if diagonal else None)
+                if diagonal:
+                    theta[0] -= peaks
+                size = (gram if diagonal else scratch)[: theta.size].real.reshape(theta.shape)  # the free buffer
+                f = flag[: theta.size].reshape(theta.shape)
+                np.greater_equal(np.abs(theta, out=size), threshold, out=f)
+                nz[:, : part.size] |= f
             idx = np.flatnonzero(nz)
             if not idx.size:
                 continue
-            ai, rest = np.divmod(idx, kb * N)
-            bi, n = np.divmod(rest, N)
-            a, b = a0 + ai, b0 + bi
+            n, c = np.divmod(np.unique(idx // (J * cols) * cols + idx % cols), cols)
+            if diagonal:
+                a, b = a0 + upper_a[c], a0 + upper_b[c]
+            else:
+                ai, bi = np.divmod(c, kb)
+                a, b = a0 + ai, b0 + bi
             if ((n >= L) & (n <= N - L)).any():
                 raise ArithmeticError("fft-gram kernel: nonzero value beyond the correlation support")
-            upper = a <= b
-            fwd = upper & ((n == 0) | (n > N - L))  # (a, b) at tau = -n mod N
-            rev = upper & (n < L) & (a != b)  # (b, a) at tau = n
+            fwd = (n == 0) | (n > N - L)  # (a, b) at tau = -n mod N
+            rev = (n < L) & (a != b)  # (b, a) at tau = n
             keys = np.concatenate([(a[fwd] * K + b[fwd]) * L + (-n[fwd]) % N,
                                    (b[rev] * K + a[rev]) * L + n[rev]])
             total += keys.size

@@ -284,6 +284,24 @@ def test_verify_refuses_a_reduction_matrix_beyond_memory(tmp_path, capsys, monke
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_build_refuses_text_beyond_memory(tmp_path, capsys, monkeypatch):
+    """theorem1 q=17 m=2 is a 17x17x289 uint8 tensor (about 170 KB with the build's work arrays), but its
+    canonical text needs up to 3 bytes an entry, twice over for the joined copy (about 500 KB): with 300 KB
+    of memory the build passes its guard and dumps refuses before building any text."""
+    from ccckit import construct
+
+    cfg = write(tmp_path / "cfg.json", {"kind": "theorem1", "q": 17, "m": 2, "seed": 1})
+    out = tmp_path / "codes.json"
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 300_000}[name])
+    assert main(["build", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "canonical text of a (17, 289) code set over Z_17" in err and "physical memory" in err
+    assert not out.exists()
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 600_000}[name])
+    assert main(["build", cfg, "--out", str(out)]) == 0
+    assert ck.CodeSet.loads(out.read_bytes()).K == 17
+
+
 @pytest.mark.parametrize("command", ["build", "probe", "verify"])
 def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     path = tmp_path / "deep.json"

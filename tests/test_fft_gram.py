@@ -5,6 +5,7 @@ violating cells, with their exact counts, must agree.
 """
 
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,7 +158,7 @@ def test_small_tiles_cover_every_cell(monkeypatch):
     """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
     monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
     assert exact_corr.plan_tiles(7, 5, 12)[:2] == (1, 1)
-    monkeypatch.setattr(exact_corr, "TILE_BYTES", 42_000)  # k = 5, mc = 2
+    monkeypatch.setattr(exact_corr, "TILE_BYTES", 35_000)  # k = 4, mc = 3
     k, mc, _ = exact_corr.plan_tiles(7, 5, 12)
     assert 1 < k < 7 and 7 % k and 1 < mc < 5
     rng = np.random.default_rng(11)
@@ -247,6 +248,135 @@ def test_tile_plan_stays_within_budget():
         k, mc, nbytes = exact_corr.plan_tiles(K, M, L)
         assert 1 <= k <= K and 1 <= mc <= M
         assert nbytes <= exact_corr.TILE_BYTES
+
+
+def test_plans_keep_gram_roundings_within_the_bound():
+    """fft_gram_bound's Gram term allows M + 2 roundings a product: a matmul over mc sequences may take 2 mc
+    in some BLAS order and the sum over the chunks c - 1 more, so every plan keeps 2 mc + c - 1 <= M + 2."""
+    for K, M, L in [(2, 2, 3), (6, 6, 72), (7, 5, 12), (30, 30, 180), (17, 17, 289), (3, 1, 5), (2, 3, 40),
+                    (60, 60, 1800), (216, 216, 2592)]:
+        k, mc, _ = exact_corr.plan_tiles(K, M, L)
+        assert 2 * mc + -(-M // mc) - 1 <= M + 2, (K, M, L, k, mc)
+
+
+def certify_q30_set():
+    """The 30x30x180 corollary3 set over Z_30 of the benchmark's certify workload."""
+    cfg = {"kind": "corollary3", "blocks": blocks((2, 2), (3, 2), (5, 1)), "n": [0, 0, 0], "seed": 1}
+    return ck.build_code_set(spec_from_config(cfg))
+
+
+def test_kernel_memory_is_its_plan():
+    """The traced peak of one kernel call is the plan's working set: plan_tiles counts every buffer."""
+    C = certify_q30_set()
+    assert (C.K, C.M, C.L, C.q) == (30, 30, 180, 30)
+    plan = exact_corr.plan_tiles(C.K, C.M, C.L)[2]
+    exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)  # warm the caches of cyclotomic data
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)[0] == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert plan <= peak <= plan + (64 << 10)
+
+
+# forced plans (k, mc, one character a pass?): one code and one sequence per tile; edge tiles with a partial
+# last chunk; one tile, whole and chunked.  (7, 5) sets: 7 % 3 and 5 % 2 leave edges; (4, 3, 7) sets keep
+# q = 323 quick.  A plan's bytes set how many characters share a pass: all that fit, or one.
+FORCED_PLANS = {"unit": lambda K, M: (1, 1, False), "unit-one-character": lambda K, M: (1, 1, True),
+                "edges": lambda K, M: (3, 2, False), "edges-one-character": lambda K, M: (3, 2, True),
+                "one-tile": lambda K, M: (K, M, False), "one-tile-chunked": lambda K, M: (K, 2, True)}
+
+
+def force_plan(monkeypatch, plan):
+    def plan_tiles(K, M, L):
+        k, mc, one = FORCED_PLANS[plan](K, M)
+        nbytes = exact_corr.tile_bytes(exact_corr.fft_length(L), L, k, mc)
+        return k, mc, exact_corr.TILE_BYTES if one else nbytes
+
+    monkeypatch.setattr(exact_corr, "plan_tiles", plan_tiles)
+
+
+@pytest.mark.parametrize("plan", sorted(FORCED_PLANS))
+@pytest.mark.parametrize("q", [1, 2, 6, 30, 323])
+def test_forced_plans_match_oracles(monkeypatch, q, plan):
+    """Every plan shape gives the shiftwise oracle's cells (exact mode) and the float oracle's (float mode)."""
+    force_plan(monkeypatch, plan)
+    rng = np.random.default_rng(q)
+    C = ck.CodeSet(q, rng.integers(0, q, size=(4, 3, 7) if q == 323 else (7, 5, 12)))
+    sets = [C, with_holes(C, q, frac=0.3)]
+    if q in (2, 6):  # CCCs, whose cells are all zero but the peaks, and their corruptions
+        ccc = ck.build_code_set(spec_from_config({"kind": "theorem1", "q": q, "m": 2 if q == 6 else 3, "seed": q}))
+        sets += [ccc, with_flips(ccc, q), with_holes(ccc, q, frac=0.02)]
+    for S in sets:
+        assert_same_as_shiftwise(S)
+        assert_float_matches_oracle(S)
+    if q in (2, 6):
+        assert assert_same_as_shiftwise(sets[2]).is_ccc and not assert_same_as_shiftwise(sets[3]).is_ccc
+
+
+def kernel_values(C, js):
+    """(J, K, K, N) Theta_hat_j of every pair a <= b at every bin and character j of js, from _theta on tiles."""
+    K, M, L = C.exps.shape
+    N, J = exact_corr.fft_length(L), js.size
+    k, mc, _ = exact_corr.plan_tiles(K, M, L)
+    bufs = (np.empty(N * J * k * mc, complex), np.empty(N * J * k * mc, complex), np.empty(N * J * k * k, complex),
+            np.empty(N * J * k * k, complex), np.empty(L * J * k * mc, np.int64))
+    roots = exact_corr._roots(C.q, 1)
+    out = np.zeros((J, K, K, N), complex)
+    for a0 in range(0, K, k):
+        ka = min(k, K - a0)
+        ua, ub = np.triu_indices(ka)
+        for b0 in range(a0, K, k):
+            kb = min(k, K - b0)
+            if a0 == b0:
+                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc, ua * ka + ub)
+                out[:, a0 + ua, a0 + ub] = theta.transpose(1, 2, 0)
+            else:
+                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc)
+                out[:, a0 : a0 + ka, b0 : b0 + kb] = theta.reshape(N, J, ka, kb).transpose(1, 2, 3, 0)
+    return out
+
+
+def largest_kernel_error(C):
+    """max |Theta_hat_j - Theta_j| over the pairs a <= b, every bin and every character j.
+
+    Bin -tau mod N holds Theta(a, b)(tau), bin tau holds conj Theta(b, a)(tau), 0 < tau < L,
+    and every other bin holds 0; Theta_j comes from the integer counts.
+    """
+    K, M, L = C.exps.shape
+    N = exact_corr.fft_length(L)
+    counts = np.stack([exact_corr.pair_counts(*C.row(a), C.exps, C.mask, C.q) for a in range(K)])  # (K, K, L, q)
+    a, b = np.triu_indices(K)
+    taus = np.arange(1, L)
+    js = np.array(exact_corr.character_units(C.q))
+    got = kernel_values(C, js)
+    largest = 0.0
+    for i, j in enumerate(js):
+        theta = counts @ exact_corr._roots(C.q, j)  # (K, K, L)
+        want = np.zeros((K, K, N), complex)
+        want[:, :, (-np.arange(L)) % N] = theta
+        want[:, :, taus] = np.conj(theta[:, :, taus]).transpose(1, 0, 2)
+        largest = max(largest, np.abs(got[i] - want)[a, b].max())
+    return largest
+
+
+def test_kernel_error_far_below_the_bound(monkeypatch):
+    """The matmul Gram sums in BLAS order; the measured error stays two orders of magnitude under fft_gram_bound.
+
+    Tiles of 5 codes and chunks of 5 sequences leave edge tiles and partial chunks on the 12x12 sets;
+    the corrupted set has nonzero cells.
+    """
+    monkeypatch.setattr(exact_corr, "plan_tiles", lambda K, M, L: (5, 5, 0))  # kernel_values sizes its own buffers
+    rng = np.random.default_rng(5)
+    tiled = ck.build_code_set(spec_from_config(
+        {"kind": "corollary3", "blocks": blocks((2, 3), (3, 2)), "n": [1, 0], "seed": 2}))
+    corrupted = ck.build_code_set(spec_from_config(CORRUPTED_CONFIGS[2]))
+    random323 = with_holes(ck.CodeSet(323, rng.integers(0, 323, size=(5, 4, 33))), 5)
+    for C in (tiled, corrupted, random323):
+        err, bound = largest_kernel_error(C), exact_corr.fft_gram_bound(C.M, C.L)
+        assert 0 < err < bound / 100, (C.exps.shape, C.q, err, bound)
 
 
 @pytest.mark.parametrize("q", [65536, 70000])
@@ -348,9 +478,10 @@ def test_float_mode_matches_oracle_at_q1():
     assert not assert_float_matches_oracle(with_holes(C, 1, frac=0.3)).is_ccc
 
 
-@pytest.mark.parametrize("budget", [1, 40_000])
+@pytest.mark.parametrize("budget", [1, 35_000])
 def test_float_mode_matches_oracle_on_small_tiles(monkeypatch, budget):
     monkeypatch.setattr(exact_corr, "TILE_BYTES", budget)
+    assert exact_corr.plan_tiles(7, 5, 12)[:2] == {1: (1, 1), 35_000: (4, 3)}[budget]
     rng = np.random.default_rng(budget)
     for q in (6, 30):
         C = ck.CodeSet(q, rng.integers(0, q, size=(7, 5, 12)))

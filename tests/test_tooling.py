@@ -1,5 +1,5 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API;
-one integer counter, one exact zero test and one place-value map."""
+one integer counter, one exact zero test, one place-value map and a Gram by matmul."""
 
 import ast
 import fnmatch
@@ -89,3 +89,9 @@ def test_one_place_value_map():
     callers = {where for _, where in _calls("place_digits")}
     assert {"digit_matrix", "restriction_values", "seed_digits"} <= callers
     assert not {where for _, where in _calls("restriction_values")} & {"build_from_spec", "build_code_set"}
+
+
+def test_gram_by_matmul():
+    """The fft-gram kernel sums its Gram with one batched matmul per tile and chunk; nothing in src calls einsum."""
+    assert _calls("einsum") == []
+    assert ("exact_corr", "_theta") in _calls("matmul")
