@@ -338,7 +338,7 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
 # FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin (a
 # batched matmul), inverse FFT.
 
-TILE_BYTES = 2 << 20  # working set of one fft_gram_cells call (2 MiB), whatever the set size
+TILE_BYTES = 3 << 19  # working set of one fft_gram_cells call (1.5 MiB), whatever the set size
 UNIT_ROUNDOFF = 2.0**-53
 ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, r < q
 
@@ -420,8 +420,9 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per Gram chunk, working set of one character.
 
     Among the plans within TILE_BYTES, the one of least modelled time per
-    character.  For each k the largest mc that fits sets the number of
-    chunks, and mc shrinks to the least that gives as many.  The model, in
+    character.  For each k the largest mc that fits sets the fewest chunks,
+    and mc shrinks to the least that gives as many; mc = 1 is the other
+    candidate.  The model, in
     seconds on a 2-vCPU x86-64 host with one BLAS thread: every sequence is
     filled and transformed once per block of its tile row, K M ceil(K/k)
     times, at 1.2 ns N log2 N + 10 ns L each; each (tile, chunk) costs 40 us
@@ -440,16 +441,16 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     k = 1
     while k <= K and tile_bytes(N, L, k, 1) <= TILE_BYTES:
         room = TILE_BYTES - tile_bytes(N, L, k, 0)
-        chunks = -(-M // min(M, room // (32 * N * k + 8 * L * k)))
-        while 2 * -(-M // chunks) + chunks - 1 > M + 2:
-            chunks += 1
-        mc = -(-M // chunks)
         blocks = -(-K // k)
         tiles = blocks * (blocks + 1) // 2
-        product = 4.5e-9 * k * k * mc if min(k, mc) == 1 else 0.45e-6 + 0.5e-9 * k * k * mc
-        t = K * M * blocks * fft + tiles * (chunks * (40e-6 + N * product) + 30e-6)
-        if t < best[0]:
-            best = (t, k, mc)
+        for chunks in {-(-M // min(M, room // (32 * N * k + 8 * L * k))), M}:  # the fewest chunks, or mc = 1
+            while 2 * -(-M // chunks) + chunks - 1 > M + 2:
+                chunks += 1
+            mc = -(-M // chunks)
+            product = 4.5e-9 * k * k * mc if min(k, mc) == 1 else 0.45e-6 + 0.5e-9 * k * k * mc
+            t = K * M * blocks * fft + tiles * (chunks * (40e-6 + N * product) + 30e-6)
+            if t < best[0]:
+                best = (t, k, mc)
         k += 1
     _, k, mc = best
     return k, mc, tile_bytes(N, L, k, mc)

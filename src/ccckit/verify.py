@@ -13,13 +13,13 @@ nonzero cell has a nonzero integer norm, so one of its |Theta_j| is >= 1;
 the test is exact because the proven error bound ``fft_gram_bound`` on each
 |Theta_j| is checked to be below 1/2 before the kernel runs.  Float mode is
 the same loop with the character j = 1 and the threshold
-FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed 2 MiB budget
-(``exact_corr.TILE_BYTES``), whatever the set size: tiles of code pairs whose
-spectra come from one FFT call a chunk and whose Gram is one batched matmul
-over the bins.  Every violation it reports is recounted with integer
-arithmetic.  When the bound fails, the
-shiftwise loop runs instead: one integer bincount per shift and code, which
-counts that code against the whole set.  It is also the kernel's test oracle.
+FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed 1.5 MiB
+budget (``exact_corr.TILE_BYTES``), whatever the set size: tiles of code
+pairs whose spectra come from one FFT call a chunk and whose Gram is one
+batched matmul over the bins.  Every violation it reports is recounted with
+integer arithmetic.  When the bound fails, the shiftwise loop runs instead:
+one integer bincount per shift and code, which counts that code against the
+whole set.  It is also the kernel's test oracle.
 
 ``necessity_probe`` drives the converse direction: specs whose chain tables
 were deliberately corrupted must fail, and for uniform-domain specs with a
