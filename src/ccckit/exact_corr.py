@@ -420,20 +420,19 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per Gram chunk, working set of one character.
 
     Among the plans within TILE_BYTES, the one of least modelled time per
-    character.  For each k the largest mc that fits sets the fewest chunks,
-    and mc shrinks to the least that gives as many; mc = 1 is the other
-    candidate.  The model, in
-    seconds on a 2-vCPU x86-64 host with one BLAS thread: every sequence is
-    filled and transformed once per block of its tile row, K M ceil(K/k)
-    times, at 1.2 ns N log2 N + 10 ns L each; each (tile, chunk) costs 40 us
-    of Python and a batched matmul of N Gram products, each 0.45 us + 0.5 ns
-    per multiply-add in BLAS zgemm, or 4.5 ns per multiply-add in numpy's own
+    character.  For each k two chunkings are weighed: the fewest chunks that
+    fit, with mc the least that gives as many, and mc = 1.  A set of M >= 3
+    sequences takes two chunks at least, which keeps the roundings of each
+    Gram product within fft_gram_bound's M + 2.  The model, in seconds on a
+    2-vCPU x86-64 host with one BLAS thread: every sequence is filled and
+    transformed once per block of its tile row, K M ceil(K/k) times, at
+    1.2 ns N log2 N + 10 ns L each; each (tile, chunk) costs 40 us of Python
+    and a batched matmul of N Gram products, each 0.45 us + 0.5 ns per
+    multiply-add in BLAS zgemm, or 4.5 ns per multiply-add in numpy's own
     loop, which takes an outer product (mc = 1) or a vector (k = 1); each
-    tile costs 30 us more.
-    k = mc = 1 is the floor when nothing fits.  A plan that leaves room for
-    several characters evaluates them together (fft_gram_cells).  A set of
-    M >= 3 sequences takes two chunks at least, which keeps the roundings of
-    each Gram product within fft_gram_bound's M + 2.
+    tile costs 30 us more.  k = mc = 1 is the floor when nothing fits.  A
+    plan that leaves room for several characters evaluates them together
+    (fft_gram_cells).
     """
     N = fft_length(L)
     fft = 1.2e-9 * N * max(N.bit_length() - 1, 1) + 10e-9 * L
@@ -443,7 +442,7 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
         room = TILE_BYTES - tile_bytes(N, L, k, 0)
         blocks = -(-K // k)
         tiles = blocks * (blocks + 1) // 2
-        for chunks in {-(-M // min(M, room // (32 * N * k + 8 * L * k))), M}:  # the fewest chunks, or mc = 1
+        for chunks in (-(-M // min(M, room // (32 * N * k + 8 * L * k))), M):
             while 2 * -(-M // chunks) + chunks - 1 > M + 2:
                 chunks += 1
             mc = -(-M // chunks)
