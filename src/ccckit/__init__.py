@@ -36,7 +36,6 @@ from .qary import (
     QaryFunction,
     SpecError,
     build_from_spec,
-    hamming_degree,
     is_permutation_mod,
     monomials_upto,
     restrict,

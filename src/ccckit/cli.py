@@ -43,9 +43,8 @@ from .construct import (
     theorem1_spec,
     theorem2_spec,
 )
-from .exact_corr import counts_to_complex, pair_counts
+from .exact_corr import CorrelationProfile, pair_counts
 from .mixed_radix import DomainSpec
-from .qary import SpecError
 from .verify import necessity_probe, verify_ccc
 
 
@@ -90,9 +89,9 @@ def _per_block(cfg, key, count, default, convert) -> list:
     When the key is absent, the entries are ``default(i)`` for i = 0..count-1,
     drawn in that order.
     """
-    raw = cfg.get(key)
-    if raw is None:
+    if key not in cfg:
         return [default(i) for i in range(count)]
+    raw = cfg[key]
     if not isinstance(raw, list) or len(raw) != count:
         raise ConfigError(f"{key} must be a list of {count} entries")
     return [convert(v) for v in raw]
@@ -128,24 +127,22 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     rng = random.Random(_int(cfg.get("seed", 0)) if seed is None else seed)
     if kind == "theorem1":
         q, m = _int(cfg["q"]), _int(cfg["m"])
-        pi = _ints(cfg.get("pi") or rng.sample(range(m), m))
+        pi = _ints(cfg["pi"]) if "pi" in cfg else tuple(rng.sample(range(m), m))
         h = _per_block(cfg, "h", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         hp = _per_block(cfg, "hp", m - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         g = _per_block(cfg, "g", m, lambda _: _rand_table(rng, q), _ints)
         spec = theorem1_spec(q, m, h, hp, g, pi)
     elif kind == "corollary1":
         q, m, n = _int(cfg["q"]), _int(cfg["m"]), _int(cfg["n"])
-        J = _ints(cfg.get("J") or range(m - n, m))
+        J = _ints(cfg["J"]) if "J" in cfg else tuple(range(m - n, m))
         free = sorted(set(range(m)) - set(J))
-        raw_pi = cfg.get("pi")
-        pi = _maybe_per_restriction(raw_pi, _ints) if raw_pi else tuple(free)
+        pi = _maybe_per_restriction(cfg["pi"], _ints) if "pi" in cfg else tuple(free)
         h = _per_block(cfg, "h", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
         hp = _per_block(cfg, "hp", m - n - 1, lambda _: _rand_perm_table(rng, q, q), _ints)
-        g_raw = cfg.get("g")
-        if g_raw is None:
-            g = tuple(_rand_table(rng, q) for _ in range(m - n))
+        if "g" in cfg:
+            g = _maybe_per_restriction(cfg["g"], _tables)
         else:
-            g = _maybe_per_restriction(g_raw, _tables)
+            g = tuple(_rand_table(rng, q) for _ in range(m - n))
         offsets = cfg.get("offsets", "auto")
         if offsets != "auto":
             offsets = _offsets(offsets)
@@ -157,16 +154,16 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
             if k != 2:
                 raise ConfigError("theorem2 needs exactly two blocks")
             (p1, m1), (p2, m2) = domain.blocks
-            pi = _ints(cfg.get("pi") or rng.sample(range(m1), m1))
-            pip = _ints(cfg.get("pip") or (m1 + i for i in rng.sample(range(m2), m2)))
+            pi = _ints(cfg["pi"]) if "pi" in cfg else tuple(rng.sample(range(m1), m1))
+            pip = _ints(cfg["pip"]) if "pip" in cfg else tuple(m1 + i for i in rng.sample(range(m2), m2))
             f = _per_block(cfg, "f", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
             fp = _per_block(cfg, "fp", m1 - 1, lambda _: _rand_perm_table(rng, q, p1), _ints)
             h = _per_block(cfg, "h", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
             hp = _per_block(cfg, "hp", m2 - 1, lambda _: _rand_perm_table(rng, q, p2), _ints)
             g = _per_block(cfg, "g", m1, lambda _: _rand_table(rng, q), _ints)
             gp = _per_block(cfg, "gp", m2, lambda _: _rand_table(rng, q), _ints)
-            f0 = _ints(cfg.get("f0") or _rand_table(rng, q))
-            h0 = _ints(cfg.get("h0") or _rand_table(rng, q))
+            f0 = _ints(cfg["f0"]) if "f0" in cfg else _rand_table(rng, q)
+            h0 = _ints(cfg["h0"]) if "h0" in cfg else _rand_table(rng, q)
             lam = _int(cfg.get("lam", rng.randrange(q)))
             spec = theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam)
         else:
@@ -192,15 +189,16 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     else:
         raise ConfigError(f"unknown construction kind {kind!r}")
 
-    corrupt = cfg.get("corrupt")
-    if corrupt:
+    if "corrupt" in cfg:
+        corrupt = cfg["corrupt"]
         if not isinstance(corrupt, dict):
             raise ConfigError("a corrupt stanza must be a JSON object")
-        table = corrupt.get("table")
-        if table is not None:
-            table = _ints(table)
+        if "table" in corrupt:
+            table = _ints(corrupt["table"])
         elif "constant" in corrupt:
             table = [_int(corrupt["constant"])] * spec.func.domain.q
+        else:
+            raise ConfigError("a corrupt stanza needs a 'table' or a 'constant'")
         spec = corrupt_spec(
             spec,
             _int(corrupt.get("block", 0)),
@@ -227,6 +225,21 @@ def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
     return build_code_set(spec_from_config(cfg, seed))
 
 
+def load_config(path: str):
+    """A build or probe config read from a JSON file; a key given twice in one object is a ConfigError."""
+
+    def unique(pairs):
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                raise ConfigError(f"duplicate key {key!r} in a config object")
+            out[key] = value
+        return out
+
+    with open(path) as fh:
+        return json.load(fh, object_pairs_hook=unique)
+
+
 def load_code_set(path: str) -> CodeSet:
     with open(path, "rb") as fh:
         return CodeSet.loads(fh.read())
@@ -237,9 +250,7 @@ def load_code_set(path: str) -> CodeSet:
 
 
 def cmd_build(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    codes = build_from_config(cfg, args.seed)
+    codes = build_from_config(load_config(args.config), args.seed)
     payload = codes.dumps()
     if args.out:
         with open(args.out, "w") as fh:
@@ -271,20 +282,18 @@ def cmd_profile(args) -> int:
     if not (0 <= args.k1 < codes.K and 0 <= args.k2 < codes.K):
         raise ConfigError(f"code indices must lie in [0, {codes.K})")
     q, taus = codes.q, range(1 - codes.L, codes.L)
-    counts = pair_counts(*codes.row(args.k1), *codes.row(args.k2), q, taus)
+    prof = CorrelationProfile(q, codes.L, codes.M, pair_counts(*codes.row(args.k1), *codes.row(args.k2), q, taus))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["tau"] + [f"count_{j}" for j in range(q)] + ["re", "im", "magnitude"])
-        for tau, row, val in zip(taus, counts.tolist(), counts_to_complex(counts, q)):
+        for tau, row, val in zip(taus, prof.counts.tolist(), prof.complex_values()):
             writer.writerow([tau] + row + [f"{val.real:.12g}", f"{val.imag:.12g}", f"{abs(val):.12g}"])
     print(f"wrote {len(taus)} profile rows to {args.out}")
     return 0
 
 
 def cmd_probe(args) -> int:
-    with open(args.config) as fh:
-        cfg = json.load(fh)
-    spec = spec_from_config(cfg, args.seed)
+    spec = spec_from_config(load_config(args.config), args.seed)
     if not spec.corrupted:
         raise ConfigError("probe needs a config with a 'corrupt' stanza")
     result = necessity_probe(spec)
@@ -341,15 +350,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
-        ConfigError,
-        SpecError,
-        json.JSONDecodeError,
         OSError,
         KeyError,
         OverflowError,
         RecursionError,
         TypeError,
-        ValueError,
+        ValueError,  # ConfigError, SpecError and json.JSONDecodeError among them
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

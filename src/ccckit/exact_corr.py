@@ -40,75 +40,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import _check_alloc
-from .waveform import RootSequence
+from .mixed_radix import prime_divisors
+from .waveform import RootSequence, root_table
 
 # ---------------------------------------------------------------------------
-# integer polynomials (ascending coefficients, trailing zeros trimmed)
+# cyclotomic polynomials
 
 
-def poly_trim(p) -> tuple[int, ...]:
-    p = list(p)
-    while p and p[-1] == 0:
-        p.pop()
-    return tuple(p)
-
-
-def poly_divmod_exact(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Divide by a monic integer polynomial; quotient and remainder stay integral."""
-    den = poly_trim(den)
-    if not den or den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    d = len(den) - 1
-    quot = [0] * max(len(rem) - d, 0)
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            quot[i - d] = c
-            for j, dj in enumerate(den):
-                rem[i - d + j] -= c * dj
-    return poly_trim(quot), poly_trim(rem)
-
-
-@functools.lru_cache(maxsize=None)
 def radical(n: int) -> int:
     """The product of the distinct primes dividing n (1 at n = 1)."""
-    r, p = 1, 2
-    while p * p <= n:
-        if n % p == 0:
-            r *= p
-            while n % p == 0:
-                n //= p
-        p += 1
-    return r * n
+    return math.prod(prime_divisors(n))
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    With r = radical(n) and s = n / r, Phi_n(x) = Phi_r(x^s); Phi_r comes
-    from exact division of x^r - 1 by the cyclotomic polynomials of the
-    proper divisors of r.
+    With r = radical(n) > 1 and s = n / r, Phi_n(x) = Phi_r(x^s), and Phi_r
+    is the Moebius product prod_{d | r} (1 - x^{r/d})^{mu(d)}, taken modulo
+    x^r, which keeps all phi(r) + 1 < r + 1 coefficients of Phi_r.  Each
+    r/d divides r: multiplying by 1 - x^{r/d} is a shift-subtract, and
+    dividing by it a running sum with stride r/d, one reshape and cumsum.
+    Every step is a ring operation on int64, so numpy's silent wrap mod 2^64
+    in an intermediate coefficient cannot change a final one that fits.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (-1, 1)
-    r = radical(n)
-    if r < n:
-        phi, s = cyclotomic(r), n // r
-        out = [0] * ((len(phi) - 1) * s + 1)
-        out[::s] = phi
-        return tuple(out)
-    num = [-1] + [0] * (n - 1) + [1]
-    poly = poly_trim(num)
-    for d in range(1, n):
-        if n % d == 0:
-            poly, rem = poly_divmod_exact(poly, cyclotomic(d))
-            if rem:
-                raise AssertionError(f"non-exact cyclotomic division for n={n}, d={d}")
-    return poly
+    primes, r = prime_divisors(n), radical(n)
+    factors = [(r, 1)]  # (r/d, mu(d)) for every d | r, which is squarefree
+    for p in primes:
+        factors += [(k // p, -mu) for k, mu in factors]
+    phi = np.zeros(r, dtype=np.int64)
+    phi[0] = 1
+    for k, mu in factors:
+        if mu > 0:
+            phi[k:] -= phi[:-k]
+        else:
+            phi = phi.reshape(-1, k).cumsum(axis=0).ravel()
+    degree, s = math.prod(p - 1 for p in primes), n // r
+    out = np.zeros(degree * s + 1, dtype=np.int64)
+    out[::s] = phi[: degree + 1]
+    return tuple(out.tolist())
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,8 +147,7 @@ class GroupRingElement:
         return GroupRingElement(self.q, tuple(counts))
 
     def to_complex(self) -> complex:
-        roots = np.exp(2j * np.pi * np.arange(self.q) / self.q)
-        return complex(np.dot(np.asarray(self.counts, dtype=np.float64), roots))
+        return complex(np.dot(np.asarray(self.counts, dtype=np.float64), root_table(self.q)))
 
     def magnitude(self) -> float:
         return abs(self.to_complex())
@@ -203,11 +176,6 @@ def zero_count_rows(counts: np.ndarray, q: int) -> np.ndarray:
     folded = counts.astype(np.int64).reshape(N, r, s).transpose(0, 2, 1).reshape(N * s, r)
     rem = folded @ reduction_matrix(r)
     return ~rem.any(axis=1).reshape(N, s).any(axis=1)
-
-
-def counts_to_complex(counts: np.ndarray, q: int) -> np.ndarray:
-    roots = np.exp(2j * np.pi * np.arange(q) / q)
-    return counts.astype(np.float64) @ roots
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +272,7 @@ class CorrelationProfile:
         return GroupRingElement(self.q, tuple(int(c) for c in self.counts[tau + self.L - 1]))
 
     def complex_values(self) -> np.ndarray:
-        return counts_to_complex(self.counts, self.q)
+        return self.counts.astype(np.float64) @ root_table(self.q)
 
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.complex_values())
@@ -346,10 +314,6 @@ ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, 
 def fft_length(L: int) -> int:
     """Smallest power of two >= 2L - 1: circular correlation without wrap-around."""
     return 1 << (2 * L - 2).bit_length()
-
-
-def _roots(q: int, j: int) -> np.ndarray:
-    return np.exp(2j * np.pi * ((j * np.arange(q)) % q) / q)
 
 
 @functools.lru_cache(maxsize=None)
@@ -458,7 +422,7 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
 def _spectra(buf, index, exps, mask, roots, js, k0, kk, m0, mm, N):
     """Bin-major FFT (N, J, kk, mm), zero-padded to N, of exps[k0:k0+kk, m0:m0+mm] at the J characters js, in buf.
 
-    roots is the one table _roots(q, 1); the entry of exponent e at the
+    roots is the one table root_table(q); the entry of exponent e at the
     character j is roots[j e mod q], looked up through the int64 buffer ``index``.
     """
     L = exps.shape[2]
@@ -540,7 +504,7 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     gram, scratch = bufs[2:4]
     flag = np.empty(N * J * k * k, bool)
     bad = np.empty(N * J * k * k, bool)
-    roots = _roots(q, 1)  # q entries: one table serves every character
+    roots = root_table(q)  # q entries: one table serves every character
     peak = M * L
     total, kept = 0, np.empty(0, np.int64)
     for a0 in range(0, K, k):

@@ -26,15 +26,17 @@ from math import prod
 import numpy as np
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+@functools.lru_cache(maxsize=None)
+def prime_divisors(n: int) -> tuple[int, ...]:
+    """The distinct primes dividing n, ascending (none at n = 1)."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return tuple(primes) + ((n,) if n > 1 else ())
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class DomainSpec:
                 raise ValueError(f"block length must be >= 1, got {mi}")
         if len(self.blocks) > 1:
             radices = [p for p, _ in self.blocks]
-            if any(not _is_prime(p) for p in radices):
+            if any(prime_divisors(p) != (p,) for p in radices):
                 raise ValueError(f"multi-block domains require prime radices, got {radices}")
             if any(a >= b for a, b in zip(radices, radices[1:])):
                 raise ValueError(f"block radices must be strictly increasing, got {radices}")

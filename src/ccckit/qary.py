@@ -144,10 +144,6 @@ class MonomialForm:
         return QaryFunction(self.domain, self.table(), provenance=self)
 
 
-def hamming_degree(mf: MonomialForm) -> int:
-    return mf.hamming_degree()
-
-
 # ---------------------------------------------------------------------------
 # value tables
 
@@ -185,10 +181,6 @@ class QaryFunction:
             and self.domain == other.domain
             and bool(np.array_equal(self.table, other.table))
         )
-
-
-def zero_function(d: DomainSpec) -> QaryFunction:
-    return QaryFunction(d, np.zeros(d.L, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -434,15 +426,10 @@ class GeneralizedQuadraticSpec:
         """Raise unless every chain table permutes {0..p_i-1} mod p_i."""
         for i, pairs in enumerate(self.chains):
             p = self.domain.blocks[i][0]
-            for j, (f, fp) in enumerate(pairs):
-                if not is_permutation_mod(f, p):
-                    raise SpecError(
-                        f"chain table f[{i}][{j + 1}] does not permute Z_{p} under mod {p}"
-                    )
-                if not is_permutation_mod(fp, p):
-                    raise SpecError(
-                        f"chain table f'[{i}][{j + 1}] does not permute Z_{p} under mod {p}"
-                    )
+            for j, pair in enumerate(pairs):
+                for name, table in zip(("f", "f'"), pair):
+                    if not is_permutation_mod(table, p):
+                        raise SpecError(f"chain table {name}[{i}][{j + 1}] does not permute Z_{p} under mod {p}")
 
 
 def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:

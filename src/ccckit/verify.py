@@ -43,6 +43,7 @@ from .exact_corr import (
     pair_counts,
     zero_count_rows,
 )
+from .mixed_radix import place_digits
 from .qary import is_permutation_mod
 
 FLOAT_ZERO_FACTOR = 1e-9  # float mode calls |Theta| < factor * M * L "zero"
@@ -261,13 +262,14 @@ def necessity_probe(cs: ConstructionSpec) -> ProbeResult:
 # the permutation <-> vanishing-character-sum equivalence
 
 
-def character_sum(table, r: int) -> GroupRingElement:
-    """sum_x zeta_q^{r * t(x)} as a group-ring element."""
+def character_sums(table, rs) -> np.ndarray:
+    """(len(rs), q) int64 counts: row i holds sum_x zeta_q^{r t(x)} for r = rs[i], one pair_counts call.
+
+    Each row r t mod q is a one-sequence code counted against the all-zero one at shift 0.
+    """
     q = len(table)
-    counts = [0] * q
-    for x in range(q):
-        counts[(r * table[x]) % q] += 1
-    return GroupRingElement(q, tuple(counts))
+    exps = np.outer(np.array(rs, dtype=np.int64), table).reshape(-1, 1, q) % q
+    return pair_counts(exps, None, np.zeros((1, q), np.int64), None, q, (0,))[:, 0]
 
 
 def lemma1_equiv_check(q: int, sample: int | None = None, seed: int = 0) -> bool:
@@ -277,25 +279,15 @@ def lemma1_equiv_check(q: int, sample: int | None = None, seed: int = 0) -> bool
     otherwise checks `sample` random tables.  Returns True iff there is no
     counterexample.
     """
-    def tables():
-        if sample is None:
-            if q**q > 100_000:
-                raise ValueError(f"q={q} too large for exhaustive check; pass sample=")
-            for idx in range(q**q):
-                yield tuple((idx // q**u) % q for u in range(q))
-        else:
-            rng = random.Random(seed)
-            for _ in range(sample):
-                yield tuple(rng.randrange(q) for _ in range(q))
-            # make sure both sides of the equivalence are exercised
-            base = list(range(q))
-            for _ in range(max(sample // 10, 1)):
-                rng.shuffle(base)
-                yield tuple(base)
-
-    for t in tables():
-        sums = np.array([character_sum(t, r).counts for r in range(1, q)], dtype=np.int64).reshape(q - 1, q)
-        vanish = zero_count_rows(sums, q).all()
-        if vanish != is_permutation_mod(t, q):
-            return False
-    return True
+    if sample is None:
+        if q**q > 100_000:
+            raise ValueError(f"q={q} too large for exhaustive check; pass sample=")
+        tables = place_digits(np.arange(q**q), (q,) * q, [q**u for u in range(q)]).tolist()  # t(u) = idx // q^u % q
+    else:
+        rng = random.Random(seed)
+        tables = [[rng.randrange(q) for _ in range(q)] for _ in range(sample)]
+        base = list(range(q))
+        for _ in range(max(sample // 10, 1)):  # permutations too, so both sides of the equivalence are exercised
+            rng.shuffle(base)
+            tables.append(list(base))
+    return all(zero_count_rows(character_sums(t, range(1, q)), q).all() == is_permutation_mod(t, q) for t in tables)

@@ -10,11 +10,20 @@ tricks, so everything downstream stays exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qary import QaryFunction, restrict
+
+
+@functools.lru_cache(maxsize=None)
+def root_table(q: int) -> np.ndarray:
+    """The read-only (q,) complex table whose entry a is exp(2 pi i a / q): every root of unity evaluated."""
+    roots = np.exp(2j * np.pi * np.arange(q) / q)
+    roots.setflags(write=False)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -53,9 +62,7 @@ class RootSequence:
 
     def to_complex(self) -> np.ndarray:
         exps, mask = self.to_arrays()
-        vals = np.exp(2j * np.pi * exps / self.q)
-        vals[~mask] = 0.0
-        return vals
+        return np.where(mask, root_table(self.q)[exps], 0)
 
 
 def eta(f: QaryFunction) -> list[int]:

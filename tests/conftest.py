@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 import ccckit as ck
-from ccckit.exact_corr import _stack_row
+from ccckit.exact_corr import _stack_row, radical
 from ccckit.qary import is_permutation_mod
 
 
@@ -99,6 +100,52 @@ def counts_via_convolution(row1, row2) -> np.ndarray:
                 conv = np.convolve(hot1[r1], hot2[r2][::-1])[::-1]
                 out[:, (r1 - r2) % q] += conv
     return out
+
+
+# ---------------------------------------------------------------------------
+# integer polynomials (ascending coefficients, trailing zeros trimmed): the long-division oracle of cyclotomic
+
+
+def poly_trim(p) -> tuple[int, ...]:
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return tuple(p)
+
+
+def poly_divmod_exact(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Divide by a monic integer polynomial; quotient and remainder stay integral."""
+    den = poly_trim(den)
+    if not den or den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(num)
+    d = len(den) - 1
+    quot = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - d] = c
+            for j, dj in enumerate(den):
+                rem[i - d + j] -= c * dj
+    return poly_trim(quot), poly_trim(rem)
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(n: int) -> tuple[int, ...]:
+    """Phi_n in Python integers: Phi_r(x^s) with r = radical(n), s = n / r, and Phi_r the exact
+    quotient of x^r - 1 by Phi_d for every proper divisor d of r."""
+    r = radical(n)
+    if r < n:
+        phi, s = cyclotomic_by_division(r), n // r
+        out = [0] * ((len(phi) - 1) * s + 1)
+        out[::s] = phi
+        return tuple(out)
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rem = poly_divmod_exact(poly, cyclotomic_by_division(d))
+            assert not rem, (n, d)
+    return poly
 
 
 # ---------------------------------------------------------------------------

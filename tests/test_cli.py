@@ -361,3 +361,57 @@ def test_kronecker_skip_verify_is_a_json_bool(tmp_path, capsys, skip):
     assert "skip_verify must be a JSON bool" in capsys.readouterr().err
     assert main(["build", write(tmp_path / "kr.json", cfg), "--out", str(out)]) == 2  # the bad factor is refused
     assert main(["build", write(tmp_path / "kr.json", dict(cfg, skip_verify=True)), "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"kind": "theorem1", "q": 3, "q": 5, "m": 2, "corrupt": {"constant": 0}}', "'q'"),
+        ('{"kind": "theorem1", "q": 3, "m": 2, "corrupt": {"constant": 0, "constant": 1}}', "'constant'"),
+    ],
+    ids=["top_level", "in_corrupt_stanza"],
+)
+def test_duplicate_config_keys_exit_2(tmp_path, capsys, command, text, key):
+    """JSON keeps the last of two equal keys; a config that repeats one is refused and the key named."""
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([command, str(path)] + (["--out", str(out)] if command == "build" else [])) == 2
+    err = capsys.readouterr().err
+    assert "duplicate key" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize("corrupt", [{"block": 0}, {}, {"chain": 0, "which": "fp"}])
+def test_corrupt_stanza_needs_table_or_constant(tmp_path, capsys, command, corrupt):
+    assert main([command, write(tmp_path / "cfg.json", dict(CORRUPT_THEOREM1_32, corrupt=corrupt))]) == 2
+    err = capsys.readouterr().err
+    assert "'table'" in err and "'constant'" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "J": []},
+        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": []},
+        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": {}},
+        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "g": None},
+        {"kind": "theorem1", "q": 3, "m": 2, "pi": []},
+        {"kind": "theorem1", "q": 3, "m": 2, "h": None},
+        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "pip": []},
+        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "f0": []},
+        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "h0": []},
+        {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "J": None},
+    ],
+    ids=["corollary1_J_empty", "corollary1_pi_empty", "corollary1_pi_empty_object", "corollary1_g_null",
+         "theorem1_pi_empty", "theorem1_h_null", "theorem2_pip_empty", "theorem2_f0_empty", "theorem2_h0_empty",
+         "corollary3_J_null"],
+)
+def test_present_config_keys_must_be_valid(tmp_path, capsys, payload):
+    """An absent key takes its seeded default; a present one, even empty or null, is read as given."""
+    out = tmp_path / "out.json"
+    assert main(["build", write(tmp_path / "cfg.json", payload), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()

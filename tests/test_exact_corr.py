@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -13,7 +14,6 @@ from ccckit.exact_corr import (
     cyclotomic,
     is_zero_exact,
     pair_counts,
-    poly_divmod_exact,
     radical,
     reduction_matrix,
     zero_count_rows,
@@ -21,7 +21,7 @@ from ccckit.exact_corr import (
 from ccckit.qary import restriction_values
 from ccckit.waveform import RootSequence, psi, psi_restricted
 
-from conftest import counts_via_convolution, rand_root_sequence
+from conftest import counts_via_convolution, cyclotomic_by_division, poly_divmod_exact, rand_root_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,30 @@ def test_cyclotomic_product_identity(n):
             prod = np.convolve(prod, cyclotomic(d))
     expect = [-1] + [0] * (n - 1) + [1]
     assert prod.tolist() == expect
+
+
+def test_cyclotomic_matches_long_division():
+    """The Moebius product over numpy gives the long-division polynomials for every n < 1200."""
+    for n in range(1, 1200):
+        assert cyclotomic(n) == cyclotomic_by_division(n), n
+
+
+def test_cyclotomic_30030_identity():
+    """Phi_30030(x) Phi_2310(x) = Phi_2310(x^13), since 13 does not divide 2310: exact on ints."""
+    big, small = np.array(cyclotomic(30030)), np.array(cyclotomic(2310))
+    assert big.size == 5761 and small.size == 481
+    spread = np.zeros(480 * 13 + 1, dtype=np.int64)
+    spread[::13] = small
+    assert np.array_equal(np.convolve(big, small), spread)
+
+
+def test_reduction_matrix_unchanged_up_to_1000():
+    """The SHA-256 of every reduction_matrix(q), q = 1..1000, as little-endian int64, pinned from the
+    build on the long-division cyclotomic."""
+    digest = hashlib.sha256()
+    for q in range(1, 1001):
+        digest.update(reduction_matrix.__wrapped__(q).astype("<i8").tobytes())  # uncached: together 1.6 GB
+    assert digest.hexdigest() == "621b1a59446ba159583839c55620b69230aaa4081cd8cda164397d6eb2356914"
 
 
 def test_radical():

@@ -13,6 +13,7 @@ import pytest
 import ccckit as ck
 from ccckit import exact_corr, verify
 from ccckit.cli import main, spec_from_config
+from ccckit.waveform import root_table
 
 
 def blocks(*pairs):
@@ -176,7 +177,12 @@ NORM_TEST_MODULI = list(range(1, 31)) + [60, 105, 210, 323]
 
 def character_values(counts, q):
     """(rows, h) values of integer count rows at the characters character_units(q)."""
-    return counts @ np.stack([exact_corr._roots(q, j) for j in exact_corr.character_units(q)], axis=1)
+    return counts @ np.stack([character_roots(q, j) for j in exact_corr.character_units(q)], axis=1)
+
+
+def character_roots(q, j):
+    """(q,) the root of exponent e at the character j: root_table(q)[j e mod q]."""
+    return root_table(q)[(j * np.arange(q)) % q]
 
 
 @pytest.mark.parametrize("q", NORM_TEST_MODULI)
@@ -323,7 +329,7 @@ def kernel_values(C, js):
     k, mc, _ = exact_corr.plan_tiles(K, M, L)
     bufs = (np.empty(N * J * k * mc, complex), np.empty(N * J * k * mc, complex), np.empty(N * J * k * k, complex),
             np.empty(N * J * k * k, complex), np.empty(L * J * k * mc, np.int64))
-    roots = exact_corr._roots(C.q, 1)
+    roots = root_table(C.q)
     out = np.zeros((J, K, K, N), complex)
     for a0 in range(0, K, k):
         ka = min(k, K - a0)
@@ -354,7 +360,7 @@ def largest_kernel_error(C):
     got = kernel_values(C, js)
     largest = 0.0
     for i, j in enumerate(js):
-        theta = counts @ exact_corr._roots(C.q, j)  # (K, K, L)
+        theta = counts @ character_roots(C.q, j)  # (K, K, L)
         want = np.zeros((K, K, N), complex)
         want[:, :, (-np.arange(L)) % N] = theta
         want[:, :, taus] = np.conj(theta[:, :, taus]).transpose(1, 0, 2)
@@ -433,7 +439,7 @@ def float_oracle_cells(C):
             target = counts.copy()
             if a == b:
                 target[0, 0] -= peak
-            ok = np.abs(exact_corr.counts_to_complex(target, C.q)) < verify.FLOAT_ZERO_FACTOR * peak
+            ok = np.abs(target.astype(float) @ root_table(C.q)) < verify.FLOAT_ZERO_FACTOR * peak
             cells += [(a, b, int(tau), tuple(int(c) for c in counts[tau])) for tau in np.flatnonzero(~ok)]
     return cells
 

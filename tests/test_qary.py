@@ -28,7 +28,6 @@ from ccckit.qary import (
     monomials_upto,
     restriction_index,
     restriction_values,
-    zero_function,
 )
 
 D72 = example72.DOMAIN
@@ -71,7 +70,7 @@ def test_hamming_degree():
     assert MonomialForm(D72, {(0, 0, 0, 0, 0): 5}).hamming_degree() == 0
     assert MonomialForm(D72, {}).hamming_degree() == 0
     d = DomainSpec(((2, 3),))
-    assert ck.hamming_degree(MonomialForm(d, {(1, 1, 1): 1})) == 3
+    assert MonomialForm(d, {(1, 1, 1): 1}).hamming_degree() == 3
 
 
 def test_monomial_form_validation():
@@ -96,7 +95,7 @@ def test_reference_function_values():
 
 
 def test_zero_function():
-    z = zero_function(D72)
+    z = MonomialForm(D72, {}).to_function()
     assert not z.table.any()
     assert z(17) == 0
 

@@ -1,5 +1,5 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API;
-one integer counter, one exact zero test, one place-value map and a Gram by matmul."""
+one integer counter, one exact zero test, one root table, one place-value map and a Gram by matmul."""
 
 import ast
 import fnmatch
@@ -78,9 +78,14 @@ def _calls(name):
 
 
 def test_one_integer_counter_and_one_exact_zero_test():
-    """np.bincount runs in pair_counts alone; long division by Phi_n serves only cyclotomic itself."""
+    """np.bincount runs in pair_counts alone; no src code calls the long division, which is a test oracle now."""
     assert _calls("bincount") == [("exact_corr", "pair_counts")]
-    assert {where for _, where in _calls("poly_divmod_exact")} == {"cyclotomic"}
+    assert _calls("poly_divmod_exact") == []
+
+
+def test_one_root_table():
+    """np.exp runs once in src, in the cached root table every complex evaluation indexes."""
+    assert _calls("exp") == [("waveform", "root_table")]
 
 
 def test_one_place_value_map():

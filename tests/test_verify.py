@@ -8,9 +8,9 @@ import pytest
 import ccckit as ck
 from ccckit import example72
 from ccckit.cli import spec_from_config
-from ccckit.exact_corr import is_zero_exact
+from ccckit.exact_corr import is_zero_exact, zero_count_rows
 from ccckit.qary import constant_table, identity_table
-from ccckit.verify import character_sum, witness_shifts
+from ccckit.verify import character_sums, witness_shifts
 
 from conftest import counts_via_convolution, rand_nonperm_table, rand_theorem1_spec, rand_theorem2_spec
 
@@ -195,12 +195,13 @@ def test_lemma1_equivalence_exhaustive():
 def test_lemma1_identity_table_both_sides():
     t = identity_table(2)
     assert ck.is_permutation_mod(t, 2)
-    assert is_zero_exact(character_sum(t, 1))
+    assert zero_count_rows(character_sums(t, [1]), 2).all()
 
 
 def test_character_sum_counts():
-    g = character_sum(constant_table(5, 2), 3)
-    assert g.counts == (0, 5, 0, 0, 0)  # all mass at 2*3 mod 5
+    sums = character_sums(constant_table(5, 2), [3, 1])
+    assert sums.tolist() == [[0, 5, 0, 0, 0], [0, 0, 5, 0, 0]]  # all mass at 2*3 mod 5, then at 2
+    assert character_sums((0, 1, 2, 2), range(1, 4)).tolist() == [[1, 1, 2, 0], [3, 0, 1, 0], [1, 0, 2, 1]]
 
 
 def worst_float_deviation(C):

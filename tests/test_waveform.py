@@ -3,7 +3,7 @@ import pytest
 
 from ccckit import example72
 from ccckit.mixed_radix import DomainSpec
-from ccckit.qary import MonomialForm, restriction_values, zero_function
+from ccckit.qary import MonomialForm, restriction_values
 from ccckit.waveform import RootSequence, eta, psi, psi_restricted
 
 
@@ -12,7 +12,7 @@ def test_eta_reference_sequence():
 
 
 def test_eta_zero_function():
-    assert eta(zero_function(example72.DOMAIN)) == [0] * 72
+    assert eta(MonomialForm(example72.DOMAIN, {}).to_function()) == [0] * 72
 
 
 def test_eta_single_variable():
@@ -31,7 +31,7 @@ def test_psi_matches_eta_and_is_full():
 
 
 def test_psi_zero_function_is_all_ones():
-    seq = psi(zero_function(example72.DOMAIN))
+    seq = psi(MonomialForm(example72.DOMAIN, {}).to_function())
     vals = seq.to_complex()
     assert np.allclose(vals, 1.0)
 
