@@ -70,10 +70,14 @@ def _int(v) -> int:
 
 
 def _ints(t) -> tuple:
+    if not isinstance(t, list):
+        raise ConfigError(f"expected a JSON list of integers, got {t!r}")
     return tuple(_int(v) for v in t)
 
 
 def _tables(ts) -> tuple:
+    if not isinstance(ts, list):
+        raise ConfigError(f"expected a JSON list of tables, got {ts!r}")
     return tuple(_ints(t) for t in ts)
 
 

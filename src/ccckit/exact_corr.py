@@ -4,12 +4,11 @@ A correlation value Theta(a, b)(tau) of root-of-unity sequences is a sum of
 q-th roots of unity.  We never collapse it to floating point for decisions:
 the sum is kept as an integer multiplicity vector counts[0..q-1] (counts[j] =
 how many terms contributed the root with exponent j).  Such an element is
-zero as a complex number iff its counts polynomial is divisible by the q-th
-cyclotomic polynomial -- an exact integer computation.  This matters because
-for composite q there are nontrivial vanishing sums of roots of unity, so a
-small float magnitude proves nothing and a large one can still be misleading
-near the tolerance.  Float evaluation is provided as a prefilter/diagnostic
-only.
+zero as a complex number iff Phi_q divides its counts polynomial, which
+``zero_count_rows`` decides with integers and no table.  This matters as for
+composite q there are nontrivial vanishing sums of roots of unity, so a small
+float magnitude proves nothing and a large one can still mislead near the
+tolerance.  Float evaluation is a prefilter/diagnostic only.
 
 The one exception is ``fft_gram_cells``, which zero-tests every cell of a
 code set at once.  It evaluates each cell at the characters zeta -> zeta^j,
@@ -47,16 +46,11 @@ from .waveform import RootSequence, root_table
 # cyclotomic polynomials
 
 
-def radical(n: int) -> int:
-    """The product of the distinct primes dividing n (1 at n = 1)."""
-    return math.prod(prime_divisors(n))
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, constant term first.
 
-    With r = radical(n) > 1 and s = n / r, Phi_n(x) = Phi_r(x^s), and Phi_r
+    With r = rad(n) > 1 and s = n / r, Phi_n(x) = Phi_r(x^s), and Phi_r
     is the Moebius product prod_{d | r} (1 - x^{r/d})^{mu(d)}, taken modulo
     x^r, which keeps all phi(r) + 1 < r + 1 coefficients of Phi_r.  Each
     r/d divides r: multiplying by 1 - x^{r/d} is a shift-subtract, and
@@ -68,7 +62,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
         raise ValueError("n must be >= 1")
     if n == 1:
         return (-1, 1)
-    primes, r = prime_divisors(n), radical(n)
+    primes, r = prime_divisors(n), math.prod(prime_divisors(n))
     factors = [(r, 1)]  # (r/d, mu(d)) for every d | r, which is squarefree
     for p in primes:
         factors += [(k // p, -mu) for k, mu in factors]
@@ -85,6 +79,7 @@ def cyclotomic(n: int) -> tuple[int, ...]:
     return tuple(out.tolist())
 
 
+# Nothing in src calls this; perfbench's setup still warms it (ROADMAP item 1).
 @functools.lru_cache(maxsize=None)
 def reduction_matrix(q: int) -> np.ndarray:
     """(q, deg Phi_q) int64 matrix; row j holds x^j reduced modulo Phi_q.
@@ -111,7 +106,7 @@ def reduction_matrix(q: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GroupRingElement:
-    """sum_j counts[j] * zeta_q^j held exactly as integer multiplicities."""
+    """sum_j counts[j] * zeta_q^j held exactly as integer multiplicities; ``is_zero_exact`` tests it for 0."""
 
     q: int
     counts: tuple
@@ -161,21 +156,22 @@ def is_zero_exact(g: GroupRingElement) -> bool:
 def zero_count_rows(counts: np.ndarray, q: int) -> np.ndarray:
     """Boolean vector: which rows of an (N, q) counts matrix are exactly zero.
 
-    The evaluation map Z[x]/(x^q - 1) -> C at a primitive q-th root has
-    kernel generated by Phi_q, so a row is zero iff its counts polynomial is
-    divisible by Phi_q: pure integer arithmetic, no precision caveats.  With
-    r = radical(q) and s = q / r, Phi_q(x) = Phi_r(x^s).  Split a row's
-    polynomial by the exponent mod s: sum_b x^b C_b(x^s), b < s.  It is
-    divisible by Phi_r(x^s) iff every C_b(y) is divisible by Phi_r(y), since
-    the remainders occupy disjoint exponents.  So each row folds into s rows
-    of length r, reduced by the (r, phi(r)) matrix.
+    A row c is zero iff c(zeta_q) = 0, iff the monic Phi_q divides it.  The
+    test multiplies by A(x) = prod_{p | q} (1 - x^{q/p}) modulo x^q - 1, one
+    cyclic shift-subtract per prime: as x^q - 1 is squarefree, Q[x]/(x^q - 1)
+    is the product of the fields Q[x]/Phi_d, d | q; a proper divisor d
+    divides some q/p, so A is 0 in Q[x]/Phi_d, and A(zeta_q) != 0 as all
+    q/p < q, so c A = 0 iff c(zeta_q) = 0.  No table is built, ``counts`` is
+    not written into, and with each factor at most doubling the largest entry
+    and omega(q) <= 15 for an int64 q, nothing wraps while all |c_j| < 2^48.
     """
-    r = radical(q)
-    s = q // r
-    N = counts.shape[0]
-    folded = counts.astype(np.int64).reshape(N, r, s).transpose(0, 2, 1).reshape(N * s, r)
-    rem = folded @ reduction_matrix(r)
-    return ~rem.any(axis=1).reshape(N, s).any(axis=1)
+    rows = np.asarray(counts, dtype=np.int64)
+    if rows.ndim != 2 or rows.shape[1] != q:
+        raise ValueError(f"count rows must be (N, {q}), got {rows.shape}")
+    for p in prime_divisors(q):
+        k = q // p
+        rows = rows - np.concatenate((rows[:, -k:], rows[:, :-k]), axis=1)  # times 1 - x^k: c_j - c_{j-k mod q}
+    return ~rows.any(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +523,9 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
                 f = flag[: theta.size].reshape(theta.shape)
                 np.greater_equal(np.abs(theta, out=size), threshold, out=f)
                 nz[:, : part.size] |= f
-            idx = np.flatnonzero(nz)
-            if not idx.size:
+            n, c = np.nonzero(nz.any(axis=1))  # (bin, pair) of the flagged cells, sorted
+            if not n.size:
                 continue
-            n, c = np.divmod(np.unique(idx // (J * cols) * cols + idx % cols), cols)
             if diagonal:
                 a, b = a0 + upper_a[c], a0 + upper_b[c]
             else:

@@ -1,8 +1,8 @@
 """Certification and refutation of the complete-complementarity property.
 
 ``verify_ccc`` checks every code pair at every shift.  In exact mode each
-correlation value is an integer multiplicity vector tested for zero-ness via
-cyclotomic reduction; there are no false positives or negatives.  Float mode
+correlation value is an integer multiplicity vector, zero-tested exactly by
+``zero_count_rows``; there are no false positives or negatives.  Float mode
 uses a magnitude threshold and is advisory only -- for composite alphabets a
 tiny float magnitude is expected for true zeros but can never certify one.
 

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 import ccckit as ck
-from ccckit.exact_corr import _stack_row, radical
+from ccckit.exact_corr import _stack_row
+from ccckit.mixed_radix import prime_divisors
 from ccckit.qary import is_permutation_mod
 
 
@@ -132,9 +134,9 @@ def poly_divmod_exact(num, den) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic_by_division(n: int) -> tuple[int, ...]:
-    """Phi_n in Python integers: Phi_r(x^s) with r = radical(n), s = n / r, and Phi_r the exact
-    quotient of x^r - 1 by Phi_d for every proper divisor d of r."""
-    r = radical(n)
+    """Phi_n in Python integers: Phi_r(x^s) with r = rad(n), the product of the primes of n, s = n / r,
+    and Phi_r the exact quotient of x^r - 1 by Phi_d for every proper divisor d of r."""
+    r = math.prod(prime_divisors(n))
     if r < n:
         phi, s = cyclotomic_by_division(r), n // r
         out = [0] * ((len(phi) - 1) * s + 1)

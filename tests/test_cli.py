@@ -274,14 +274,16 @@ def test_non_integer_config_values_exit_2(tmp_path, capsys, payload):
     assert not out.exists()
 
 
-def test_verify_refuses_a_reduction_matrix_beyond_memory(tmp_path, capsys, monkeypatch):
-    """At q = 65537 the exact zero test needs a (65537, 65536) int64 matrix, 32 GiB: a config error, not a crash."""
+def test_verify_gives_a_verdict_at_q_65537_in_1_gib(tmp_path, capsys, monkeypatch):
+    """At q = 65537 the exact zero test builds no table (a reduction matrix would take 32 GiB): with 1 GiB of
+    physical memory the recount of a flagged cell still runs and verify gives its verdict."""
     from ccckit import construct
 
     monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 18}[name])
     path = write(tmp_path / "codes.json", {"q": 65537, "codes": [[[0, 1, 2]], [[0, 0, 0]]]})
-    assert main(["verify", path]) == 2
-    assert "physical memory" in capsys.readouterr().err
+    assert main(["verify", path, "--max-violations", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "NOT a CCC" in captured.out and not captured.err
 
 
 def test_build_refuses_text_beyond_memory(tmp_path, capsys, monkeypatch):
@@ -392,26 +394,29 @@ def test_corrupt_stanza_needs_table_or_constant(tmp_path, capsys, command, corru
 
 
 @pytest.mark.parametrize(
-    "payload",
+    ("payload", "message"),
     [
-        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "J": []},
-        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": []},
-        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": {}},
-        {"kind": "corollary1", "q": 3, "m": 3, "n": 1, "g": None},
-        {"kind": "theorem1", "q": 3, "m": 2, "pi": []},
-        {"kind": "theorem1", "q": 3, "m": 2, "h": None},
-        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "pip": []},
-        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "f0": []},
-        {"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "h0": []},
-        {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "J": None},
+        ({"kind": "corollary1", "q": 3, "m": 3, "n": 1, "J": []}, "error:"),
+        ({"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": []}, "error:"),
+        ({"kind": "corollary1", "q": 3, "m": 3, "n": 1, "pi": {}}, "error:"),
+        ({"kind": "corollary1", "q": 3, "m": 3, "n": 1, "g": None}, "expected a JSON list of tables, got None"),
+        ({"kind": "theorem1", "q": 3, "m": 2, "pi": []}, "error:"),
+        ({"kind": "theorem1", "q": 3, "m": 2, "pi": None}, "expected a JSON list of integers, got None"),
+        ({"kind": "theorem1", "q": 3, "m": 2, "h": None}, "error:"),
+        ({"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "pip": []}, "error:"),
+        ({"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "f0": []}, "error:"),
+        ({"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "h0": []}, "error:"),
+        ({"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "J": None}, "error:"),
     ],
     ids=["corollary1_J_empty", "corollary1_pi_empty", "corollary1_pi_empty_object", "corollary1_g_null",
-         "theorem1_pi_empty", "theorem1_h_null", "theorem2_pip_empty", "theorem2_f0_empty", "theorem2_h0_empty",
-         "corollary3_J_null"],
+         "theorem1_pi_empty", "theorem1_pi_null", "theorem1_h_null", "theorem2_pip_empty", "theorem2_f0_empty",
+         "theorem2_h0_empty", "corollary3_J_null"],
 )
-def test_present_config_keys_must_be_valid(tmp_path, capsys, payload):
-    """An absent key takes its seeded default; a present one, even empty or null, is read as given."""
+def test_present_config_keys_must_be_valid(tmp_path, capsys, payload, message):
+    """An absent key takes its seeded default; a present one, even empty or null, is read as given.
+    A null where a list of integers or of tables belongs is refused with the expected type named."""
     out = tmp_path / "out.json"
     assert main(["build", write(tmp_path / "cfg.json", payload), "--out", str(out)]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err
     assert not out.exists()

@@ -14,10 +14,10 @@ from ccckit.exact_corr import (
     cyclotomic,
     is_zero_exact,
     pair_counts,
-    radical,
     reduction_matrix,
     zero_count_rows,
 )
+from ccckit.mixed_radix import prime_divisors
 from ccckit.qary import restriction_values
 from ccckit.waveform import RootSequence, psi, psi_restricted
 
@@ -71,10 +71,6 @@ def test_reduction_matrix_unchanged_up_to_1000():
     assert digest.hexdigest() == "621b1a59446ba159583839c55620b69230aaa4081cd8cda164397d6eb2356914"
 
 
-def test_radical():
-    assert [radical(n) for n in (1, 2, 4, 12, 97, 65536, 70000)] == [1, 2, 2, 6, 97, 2, 70]
-
-
 def test_poly_divmod_requires_monic():
     with pytest.raises(ValueError):
         poly_divmod_exact((1, 2, 3), (1, 2))
@@ -117,19 +113,25 @@ def test_is_zero_agrees_with_float(rng):
             assert g.magnitude() > 1e-7
 
 
+def _multiple_of_phi(rng, q, phi, terms):
+    """sum_i b_i x^{a_i} Phi_q(x) modulo x^q - 1, for ``terms`` random shifts a_i and small b_i."""
+    row = np.zeros(q, dtype=np.int64)
+    for _ in range(terms):
+        a, b = rng.randrange(q), rng.choice([-3, -2, -1, 1, 2, 3])
+        row[(a + np.arange(len(phi))) % q] += b * np.asarray(phi, dtype=np.int64)
+    return row
+
+
 def test_zero_count_rows_matches_scalar():
-    """The folded matmul test agrees with polynomial long division by Phi_q, squarefree q or not."""
+    """The annihilator test agrees with polynomial long division by Phi_q, squarefree q or not."""
     rng = random.Random(5)
-    for q in (6, 4, 8, 9, 12, 18, 50, 64):
+    for q in (1, 2, 6, 4, 8, 9, 12, 18, 30, 50, 64, 105, 210, 323, 360):
         phi = cyclotomic(q)
         rows = []
         for i in range(200):
-            if i % 2:  # a multiple of Phi_q in Z[x]/(x^q - 1): zero, unless the last step perturbs it
-                row = [0] * q
-                for a, b in enumerate(rng.randrange(-3, 4) for _ in range(q)):
-                    for t, c in enumerate(phi):
-                        row[(a + t) % q] += b * c
-                row[rng.randrange(q)] += rng.choice([0, 0, 1])
+            if i % 2:  # a multiple of Phi_q in Z[x]/(x^q - 1): zero, unless the last step perturbs it by +-1
+                row = _multiple_of_phi(rng, q, phi, q).tolist()
+                row[rng.randrange(q)] += rng.choice([0, 0, 1, -1])
             else:
                 row = [rng.randrange(-4, 5) for _ in range(q)]
             rows.append(row)
@@ -137,6 +139,34 @@ def test_zero_count_rows_matches_scalar():
         for row, flag in zip(rows, flags):
             assert (not poly_divmod_exact(row, phi)[1]) == bool(flag), q
         assert 0 < flags.sum() < len(rows), q
+
+
+@pytest.mark.parametrize("q", [30030, 65536, 65537, 70000])
+def test_zero_count_rows_at_large_alphabets(q):
+    """Constructed zeros, multiples of Phi_q plus sums of whole p-orbits x^a (1 + x^{q/p} + ...), stay zero;
+    one entry moved by +-1 makes each nonzero.  The rows are not written into."""
+    rng = random.Random(q)
+    phi = cyclotomic(q)
+    zeros = []
+    for _ in range(6):
+        row = _multiple_of_phi(rng, q, phi, 8)
+        for p in prime_divisors(q):
+            for _ in range(4):
+                row[(rng.randrange(q) + np.arange(p) * (q // p)) % q] += rng.randrange(-5, 6)
+        zeros.append(row << 30)  # entries up to 2^38, inside the 2^48 the docstring allows
+    perturbed = [row.copy() for row in zeros]
+    for row in perturbed:
+        row[rng.randrange(q)] += rng.choice([-1, 1])
+    rows = np.array(zeros + perturbed)
+    before = rows.copy()
+    assert zero_count_rows(rows, q).tolist() == [True] * 6 + [False] * 6
+    assert np.array_equal(rows, before)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (2, 7), (6,), (1, 2, 6)])
+def test_zero_count_rows_needs_rows_q_wide(shape):
+    with pytest.raises(ValueError):
+        zero_count_rows(np.zeros(shape, dtype=np.int64), 6)
 
 
 def test_reduction_matrix_rows_are_powers_of_x_mod_phi():

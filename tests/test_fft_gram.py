@@ -385,12 +385,13 @@ def test_kernel_error_far_below_the_bound(monkeypatch):
         assert 0 < err < bound / 100, (C.exps.shape, C.q, err, bound)
 
 
-@pytest.mark.parametrize("q", [65536, 70000])
+@pytest.mark.parametrize("q", [30030, 65536, 65537, 70000])
 def test_verify_at_any_alphabet_size(tmp_path, capsys, q):
     """Verify memory does not grow with phi(q) q.
 
-    Neither a (q, phi(q)) reduction matrix nor a root table per character is
-    built: at q = 65536 each took 16 GiB, so either would lift the peak
+    Neither a reduction matrix nor a root table per character is built: a
+    (q, phi(q)) matrix took 16 GiB at q = 65536 and 32 GiB at q = 65537, and
+    the (30030, 5760) one 1.38 GB, so any of them would lift the peak
     resident size far past the margin.
     """
     C = ck.CodeSet(q, np.zeros((2, 2, 3), dtype=np.int64))  # Theta = M (L - tau) for every pair

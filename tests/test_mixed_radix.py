@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ccckit.mixed_radix import DomainSpec, digit_matrix, int_to_vec, vec_to_int
+from ccckit.mixed_radix import DomainSpec, digit_matrix, int_to_vec, prime_divisors, vec_to_int
 
 from conftest import oracle_digit_matrix, oracle_int_to_vec
 
@@ -18,6 +18,12 @@ def test_derived_parameters():
     assert D72.radix_per_position == (2, 2, 2, 3, 3)
     assert D72.weights == (1, 2, 4, 8, 24)
     assert D72.L % D72.q == 0
+
+
+def test_prime_divisors():
+    cases = {1: (), 2: (2,), 4: (2,), 12: (2, 3), 97: (97,), 30030: (2, 3, 5, 7, 11, 13), 65536: (2,),
+             65537: (65537,), 70000: (2, 5, 7)}
+    assert {n: prime_divisors(n) for n in cases} == cases
 
 
 def test_delta_recursion():

@@ -78,9 +78,12 @@ def _calls(name):
 
 
 def test_one_integer_counter_and_one_exact_zero_test():
-    """np.bincount runs in pair_counts alone; no src code calls the long division, which is a test oracle now."""
+    """np.bincount runs in pair_counts alone; no src code calls the long division, which is a test oracle now,
+    or the reduction matrix, which the annihilator test replaced; only the reduction matrix builds Phi_q."""
     assert _calls("bincount") == [("exact_corr", "pair_counts")]
     assert _calls("poly_divmod_exact") == []
+    assert _calls("reduction_matrix") == []
+    assert _calls("cyclotomic") == [("exact_corr", "reduction_matrix")]
 
 
 def test_one_root_table():
