@@ -81,9 +81,33 @@ def _tables(ts) -> tuple:
     return tuple(_ints(t) for t in ts)
 
 
+# The keys each config object reads; a construction kind also reads _SHARED.  Any other key is a config error.
+_KEYS = {
+    "theorem1": "q m pi h hp g",
+    "corollary1": "q m n J pi h hp g offsets",
+    "theorem2": "blocks pi pip f fp h hp g gp f0 h0 lam",
+    "corollary3": "blocks n J pi chains g couplings offsets",
+    "kronecker": "inputs skip_verify",
+    "block": "p m",
+    "coupling": "lam f h",
+    "corrupt": "block chain which table constant",
+}
+_SHARED = "kind seed corrupt"
+
+
+def _known(obj, what: str, shared: str = "") -> dict:
+    """obj if it is a JSON object whose keys are all in _KEYS[what] or ``shared``; a ConfigError otherwise."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"a {what} config must be a JSON object")
+    allowed = f"{_KEYS[what]} {shared}".split()
+    for key in obj:
+        if key not in allowed:
+            raise ConfigError(f"unknown {what} config key {key!r}; the allowed keys are {' '.join(allowed)}")
+    return obj
+
+
 def _coupling(c) -> tuple:
-    if not isinstance(c, dict):
-        raise ConfigError("each coupling must be a JSON object")
+    c = _known(c, "coupling")
     return _int(c.get("lam", 0)), _ints(c["f"]), _ints(c["h"])
 
 
@@ -128,6 +152,9 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     if not isinstance(cfg, dict):
         raise ConfigError("a build config must be a JSON object")
     kind = cfg.get("kind")
+    if kind not in ("theorem1", "corollary1", "theorem2", "corollary3"):
+        raise ConfigError(f"unknown construction kind {kind!r}")
+    _known(cfg, kind, _SHARED)
     rng = random.Random(_int(cfg.get("seed", 0)) if seed is None else seed)
     if kind == "theorem1":
         q, m = _int(cfg["q"]), _int(cfg["m"])
@@ -151,8 +178,9 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
         if offsets != "auto":
             offsets = _offsets(offsets)
         spec = corollary1_spec(q, m, n, J, pi, h, hp, g, offsets)
-    elif kind in ("theorem2", "corollary3"):
-        domain = DomainSpec(tuple((_int(b["p"]), _int(b["m"])) for b in cfg["blocks"]))
+    else:
+        blocks = [_known(b, "block") for b in cfg["blocks"]]
+        domain = DomainSpec(tuple((_int(b["p"]), _int(b["m"])) for b in blocks))
         q, k = domain.q, domain.k
         if kind == "theorem2":
             if k != 2:
@@ -190,19 +218,15 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
             couplings = _per_block(cfg, "couplings", k - 1, rand_coupling, _coupling)
             offsets = _offsets(cfg.get("offsets"))
             spec = corollary3_spec(domain, J, pis, chains, gs, couplings, offsets)
-    else:
-        raise ConfigError(f"unknown construction kind {kind!r}")
 
     if "corrupt" in cfg:
-        corrupt = cfg["corrupt"]
-        if not isinstance(corrupt, dict):
-            raise ConfigError("a corrupt stanza must be a JSON object")
+        corrupt = _known(cfg["corrupt"], "corrupt")
+        if ("table" in corrupt) == ("constant" in corrupt):
+            raise ConfigError("a corrupt stanza needs exactly one of 'table' and 'constant'")
         if "table" in corrupt:
             table = _ints(corrupt["table"])
-        elif "constant" in corrupt:
-            table = [_int(corrupt["constant"])] * spec.func.domain.q
         else:
-            raise ConfigError("a corrupt stanza needs a 'table' or a 'constant'")
+            table = [_int(corrupt["constant"])] * spec.func.domain.q
         spec = corrupt_spec(
             spec,
             _int(corrupt.get("block", 0)),
@@ -215,6 +239,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
 
 def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
     if isinstance(cfg, dict) and cfg.get("kind") == "kronecker":
+        _known(cfg, "kronecker", _SHARED)
         inputs = cfg.get("inputs") or []
         if not isinstance(inputs, list) or len(inputs) < 2 or not all(isinstance(p, str) for p in inputs):
             raise ConfigError("kronecker needs a list of at least two input code-set paths")
@@ -353,9 +378,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except KeyError as exc:  # only a config lookup raises it under main
+        print(f"error: missing config key {exc}", file=sys.stderr)
+        return 2
     except (
         OSError,
-        KeyError,
         OverflowError,
         RecursionError,
         TypeError,

@@ -198,17 +198,22 @@ def _stack_row(row):
     return np.stack(exps), np.stack(masks), qs.pop()
 
 
+def _stack_pair(row1, row2) -> tuple:
+    """(e1, m1, e2, m2, q) of two code rows, as pair_counts takes them; the rows must share q, M and L."""
+    (e1, m1, q), (e2, m2, q2) = _stack_row(row1), _stack_row(row2)
+    if q != q2 or e1.shape != e2.shape:
+        raise ValueError("code rows must share modulus, length and sequence count")
+    return e1, m1, e2, m2, q
+
+
 def code_accf(row1, row2, tau: int) -> GroupRingElement:
     """Correlation of two code rows at one shift, summed over paired sequences, exactly.
 
     A row is a RootSequence or a list of them.  Entries that are literal zeros
     (None) contribute nothing.  Conjugation of row2 negates its exponents mod q.
     """
-    e1, m1, q1 = _stack_row(row1)
-    e2, m2, q2 = _stack_row(row2)
-    if q1 != q2 or e1.shape != e2.shape:
-        raise ValueError("code rows must share modulus, length and sequence count")
-    return GroupRingElement(q1, tuple(pair_counts(e1, m1, e2, m2, q1, (tau,))[0].tolist()))
+    pair = _stack_pair(row1, row2)
+    return GroupRingElement(pair[-1], pair_counts(*pair, (tau,))[0])
 
 
 def pair_counts(e1, m1, e2, m2, q, taus=None) -> np.ndarray:
@@ -279,10 +284,7 @@ class CorrelationProfile:
 
 def correlation_profile(row1, row2) -> CorrelationProfile:
     """All shifts -(L-1) .. L-1 of the code-level correlation between two rows."""
-    e1, m1, q = _stack_row(row1)
-    e2, m2, q2 = _stack_row(row2)
-    if q != q2 or e1.shape != e2.shape:
-        raise ValueError("code rows must share modulus, length and sequence count")
+    e1, m1, e2, m2, q = _stack_pair(row1, row2)
     M, L = e1.shape
     return CorrelationProfile(q, L, M, pair_counts(e1, m1, e2, m2, q, range(1 - L, L)))
 

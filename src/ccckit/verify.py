@@ -16,10 +16,13 @@ the same loop with the character j = 1 and the threshold
 FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed 1.5 MiB
 budget (``exact_corr.TILE_BYTES``), whatever the set size: tiles of code
 pairs whose spectra come from one FFT call a chunk and whose Gram is one
-batched matmul over the bins.  Every violation it reports is recounted with
-integer arithmetic.  When the bound fails, the shiftwise loop runs instead:
-one integer bincount per shift and code, which counts that code against the
-whole set.  It is also the kernel's test oracle.
+batched matmul over the bins.  When the bound fails, the shiftwise loop
+runs instead: one integer bincount per shift and code, which counts that
+code against the whole set.  It is also the kernel's test oracle.
+
+Both kernels hand over a flagged cell as its key (a K + b) L + tau, and one
+integer recount, ``_violation``, turns a key into a ``Violation``, so every
+reported cell is recounted with integers and a disagreement raises.
 
 ``necessity_probe`` drives the converse direction: specs whose chain tables
 were deliberately corrupted must fail, and for uniform-domain specs with a
@@ -31,7 +34,7 @@ as the shiftwise loop.  Every exact zero test here is ``zero_count_rows``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,23 +86,11 @@ class VerifyReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "is_ccc": self.is_ccc,
-            "peak": self.peak,
-            "mode": self.mode,
-            "K": self.K,
-            "M": self.M,
-            "L": self.L,
-            "q": self.q,
-            "shifts_tested": self.shifts_tested,
-            "total_violations": self.total_violations,
-            "kernel": self.kernel,
-            "rounding_bound": self.rounding_bound,
-            "violations": [
-                {"k1": v.k1, "k2": v.k2, "tau": v.tau, "counts": list(v.element.counts)}
-                for v in self.violations
-            ],
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["violations"] = [
+            {"k1": v.k1, "k2": v.k2, "tau": v.tau, "counts": list(v.element.counts)} for v in self.violations
+        ]
+        return out
 
 
 def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> VerifyReport:
@@ -125,69 +116,49 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
         bound, tol = fft_gram_bound(M, L), None
     if bound < 0.5:
         total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations, tol)
-        bad_cells = []
-        for key in keys.tolist():
-            ab, tau = divmod(key, L)
-            a, b = divmod(ab, K)
-            counts = pair_counts(*C.row(a), *C.row(b), q, (tau,))
-            target = counts.copy()
-            if a == b and tau == 0:
-                target[0, 0] -= M * L
-            if zero_count_rows(target, q)[0]:
-                raise ArithmeticError(f"fft-gram kernel flagged cell ({a},{b},{tau}), which recounts to zero")
-            bad_cells.append((a, b, tau, counts[0]))
-        return _report(C, mode, bad_cells, total, K * K * L, "fft-gram", bound)
-    bad_cells, shifts = _shiftwise_cells(C)
-    return _report(C, mode, bad_cells[:max_violations], len(bad_cells), shifts, "shiftwise", 0.0)
-
-
-def _report(C: CodeSet, mode, cells, total, shifts, kernel, bound) -> VerifyReport:
-    violations = tuple(
-        Violation(a, b, tau, GroupRingElement(C.q, tuple(int(c) for c in row)))
-        for a, b, tau, row in cells
-    )
+        keys, kernel = keys.tolist(), "fft-gram"
+    else:
+        keys = sorted(_bad_keys(C, range(L)))
+        total, keys, kernel, bound = len(keys), keys[:max_violations], "shiftwise", 0.0
     return VerifyReport(
-        is_ccc=not total,
-        peak=C.M * C.L,
-        mode=mode,
-        K=C.K,
-        M=C.M,
-        L=C.L,
-        q=C.q,
-        shifts_tested=shifts,
-        violations=violations,
-        total_violations=total,
-        kernel=kernel,
+        is_ccc=not total, peak=M * L, mode=mode, K=K, M=M, L=L, q=q, shifts_tested=K * K * L,
+        violations=tuple(_violation(C, key) for key in keys), total_violations=total, kernel=kernel,
         rounding_bound=bound,
     )
 
 
-def _bad_cells(C: CodeSet, taus, limit: int | None = None) -> list:
-    """The nonzero cells (a, b, tau, counts) at the shifts taus, in (tau, a, b) order, the first ``limit``.
+def _violation(C: CodeSet, key: int) -> Violation:
+    """The cell with key (a K + b) L + tau, recounted with integers; ArithmeticError if it recounts to zero."""
+    ab, tau = divmod(key, C.L)
+    a, b = divmod(ab, C.K)
+    counts = pair_counts(*C.row(a), *C.row(b), C.q, (tau,))
+    target = counts.copy()
+    if a == b and tau == 0:
+        target[0, 0] -= C.M * C.L
+    if zero_count_rows(target, C.q)[0]:
+        raise ArithmeticError(f"cell ({a},{b},{tau}) was flagged nonzero but recounts to zero")
+    return Violation(a, b, tau, GroupRingElement(C.q, counts[0]))
+
+
+def _bad_keys(C: CodeSet, taus, limit: int | None = None) -> list[int]:
+    """The keys (a K + b) L + tau of the nonzero cells at the shifts taus, in (tau, a, b) order, the first ``limit``.
 
     A cell's value is Theta(a, b)(tau) less M*L when a == b and tau == 0.  One
     pair_counts call counts code a against the whole set at one shift and one
     zero_count_rows call tests the K cells, so the temporaries stay O(K M L).
     """
     K, M, L, q = C.K, C.M, C.L, C.q
-    cells: list[tuple[int, int, int, np.ndarray]] = []
+    keys: list[int] = []
     for tau in taus:
         for a in range(K):
             counts = pair_counts(*C.row(a), C.exps, C.mask, q, (tau,))[:, 0]
-            target = counts
             if tau == 0:
-                target = counts.copy()
-                target[a, 0] -= M * L  # demand exactly M*L at shift 0
-            for b in np.flatnonzero(~zero_count_rows(target, q)).tolist():
-                cells.append((a, b, tau, counts[b]))
-                if len(cells) == limit:
-                    return cells
-    return cells
-
-
-def _shiftwise_cells(C: CodeSet) -> tuple[list, int]:
-    """(bad cells (a, b, tau, counts) in key order, cells tested): every shift 0 .. L-1."""
-    return sorted(_bad_cells(C, range(C.L)), key=lambda cell: cell[:3]), C.K * C.K * C.L
+                counts[a, 0] -= M * L  # demand exactly M*L at shift 0
+            for b in np.flatnonzero(~zero_count_rows(counts, q)).tolist():
+                keys.append((a * K + b) * L + tau)
+                if len(keys) == limit:
+                    return keys
+    return keys
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +218,14 @@ def necessity_probe(cs: ConstructionSpec) -> ProbeResult:
         raise ValueError("necessity_probe expects a spec flagged corrupted")
     C = build_code_set(cs)
     taus = tuple(witness_shifts(cs))
-    hit = _bad_cells(C, taus, 1)
-    full_scan = not hit
+    hits = [_violation(C, key) for key in _bad_keys(C, taus, 1)]
+    full_scan = not hits
     if full_scan:
-        report = verify_ccc(C, mode="exact", max_violations=1)
-        hit = [(v.k1, v.k2, v.tau, v.element.counts) for v in report.violations]
-    if not hit:
+        hits = verify_ccc(C, max_violations=1).violations
+    if not hits:
         return ProbeResult(found=False, scanned_witness_shifts=taus)
-    k1, k2, tau, counts = hit[0]
-    return ProbeResult(True, tau, k1, k2, GroupRingElement(C.q, counts), taus, full_scan)
+    v = hits[0]
+    return ProbeResult(True, v.tau, v.k1, v.k2, v.element, taus, full_scan)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ def test_verify_json_report(tmp_path, capsys):
     assert report["is_ccc"] is True
     assert report["peak"] == 8
     assert report["violations"] == []
+    assert sorted(report) == [  # the field names of VerifyReport, from which to_dict takes its keys
+        "K", "L", "M", "is_ccc", "kernel", "mode", "peak", "q", "rounding_bound", "shifts_tested",
+        "total_violations", "violations",
+    ]
 
 
 def test_verify_json_reports_kernel(tmp_path, capsys):
@@ -386,11 +390,53 @@ def test_duplicate_config_keys_exit_2(tmp_path, capsys, command, text, key):
 
 
 @pytest.mark.parametrize("command", ["build", "probe"])
-@pytest.mark.parametrize("corrupt", [{"block": 0}, {}, {"chain": 0, "which": "fp"}])
+@pytest.mark.parametrize("corrupt", [{"block": 0}, {}, {"chain": 0, "which": "fp"},
+                                     {"table": [0, 0, 1], "constant": 0}])
 def test_corrupt_stanza_needs_table_or_constant(tmp_path, capsys, command, corrupt):
+    """Exactly one of the two: with both, the table no longer silently wins."""
     assert main([command, write(tmp_path / "cfg.json", dict(CORRUPT_THEOREM1_32, corrupt=corrupt))]) == 2
     err = capsys.readouterr().err
     assert "'table'" in err and "'constant'" in err
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize(
+    ("payload", "key"),
+    [
+        ({"kind": "corollary1", "q": 3, "m": 3, "n": 1, "ofsets": {"0": 1}, "sead": 2, "corupt": {"constant": 0}},
+         "'ofsets'"),
+        (dict(CORRUPT_THEOREM1_32, blocks=[{"p": 3, "m": 2}], n=1, corrupt={"constant": 0}), "'blocks'"),
+        (dict(CORRUPT_THEOREM1_32, corrupt={"blok": 1, "constant": 0}), "'blok'"),
+        (dict(CORRUPT_COROLLARY3, couplings=[{"lamda": 1, "f": [0] * 6, "h": [0] * 6}]), "'lamda'"),
+        (dict(CORRUPT_COROLLARY3, blocks=[{"p": 2, "m": 2, "n": 1}, {"p": 3, "m": 1}]), "'n'"),
+        (dict(CORRUPT_COROLLARY1, name="a corrupted corollary1 set"), "'name'"),
+    ],
+    ids=["misspelt_keys", "keys_of_another_kind", "corrupt_blok", "coupling_lamda", "block_n", "top_level_name"],
+)
+def test_unknown_config_keys_exit_2(tmp_path, capsys, command, payload, key):
+    """A key that the object's kind does not read would be ignored, building another set than the one asked
+    for: it is refused and named, with the allowed keys listed."""
+    out = tmp_path / "out.json"
+    argv = [command, write(tmp_path / "cfg.json", payload)] + (["--out", str(out)] if command == "build" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "unknown" in err and key in err and "allowed keys" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+@pytest.mark.parametrize(
+    ("payload", "key"),
+    [
+        ({"kind": "theorem1", "m": 2, "corrupt": {"constant": 0}}, "'q'"),
+        (dict(CORRUPT_COROLLARY3, blocks=[{"p": 2, "m": 2}, {"p": 3}]), "'m'"),
+        (dict(CORRUPT_COROLLARY3, couplings=[{"lam": 1, "h": [0] * 6}]), "'f'"),
+    ],
+    ids=["top_level_q", "block_m", "coupling_f"],
+)
+def test_missing_config_key_is_named(tmp_path, capsys, command, payload, key):
+    assert main([command, write(tmp_path / "cfg.json", payload)]) == 2
+    assert f"error: missing config key {key}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

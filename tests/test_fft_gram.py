@@ -6,6 +6,7 @@ violating cells, with their exact counts, must agree.
 
 import resource
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +22,11 @@ def blocks(*pairs):
 
 
 def shiftwise(C, max_violations=10**6):
-    cells, shifts = verify._shiftwise_cells(C)  # in (a, b, tau) order, as the kernel sorts its keys
-    return verify._report(C, "exact", cells[:max_violations], len(cells), shifts, "shiftwise", 0.0)
+    """verify_ccc with the rounding bound forced to fail, so its integer shiftwise fallback runs."""
+    with mock.patch.object(verify, "fft_gram_bound", lambda M, L: 1.0):
+        report = ck.verify_ccc(C, max_violations=max_violations)
+    assert report.kernel == "shiftwise"
+    return report
 
 
 def cells_of(report):

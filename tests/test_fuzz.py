@@ -11,15 +11,17 @@ and to the strict ``from_json`` path: both must give the same set or the
 same error.
 """
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import ccckit as ck
-from ccckit.cli import main
+from ccckit.cli import _KEYS, _SHARED, main
 from ccckit.construct import ConfigError
 
 FUZZ = settings(
@@ -95,6 +97,12 @@ def test_code_set_file_loads_or_exits_2(workdir, payload):
 # ---------------------------------------------------------------------------
 # build configs
 
+
+def for_kind(configs):
+    """Configs from ``configs`` without the keys their kind does not read (cli._KEYS), which it refuses."""
+    return configs.map(lambda cfg: {k: v for k, v in cfg.items() if k in (_KEYS[cfg["kind"]] + " " + _SHARED).split()})
+
+
 ODD = st.sampled_from([float("inf"), float("-inf"), float("nan"), 2.5, True, "2", None, [2], {}])
 small = st.one_of(st.integers(-1, 4), st.integers(-1, 4), ODD)
 tables = st.lists(st.integers(-1, 6), max_size=7)
@@ -120,12 +128,12 @@ corrupt_ok = st.fixed_dictionaries(
 )
 maybe = {"seed": st.integers(0, 3), "corrupt": st.one_of(corrupt_ok, corrupt, JUNK)}
 maybe_ok = {"seed": st.integers(0, 3), "corrupt": corrupt_ok}
-uniform = st.fixed_dictionaries(
+uniform = for_kind(st.fixed_dictionaries(
     {"kind": st.sampled_from(["theorem1", "corollary1"]), "q": st.one_of(st.integers(-1, 5), ODD),
      "m": small},
     optional=dict(maybe, n=small, J=positions, pi=positions, h=table_lists, hp=table_lists, g=table_lists),
-)
-mixed = st.fixed_dictionaries(
+))
+mixed = for_kind(st.fixed_dictionaries(
     {"kind": st.sampled_from(["theorem2", "corollary3"]), "blocks": st.one_of(blocks, JUNK)},
     optional=dict(
         maybe,
@@ -137,19 +145,19 @@ mixed = st.fixed_dictionaries(
         couplings=st.lists(st.fixed_dictionaries({"f": tables, "h": tables}), max_size=2),
         lam=small,
     ),
-)
+))
 # Well-formed configs whose omitted tables the seed fills in: these build.
-uniform_ok = st.fixed_dictionaries(
+uniform_ok = for_kind(st.fixed_dictionaries(
     {"kind": st.sampled_from(["theorem1", "corollary1"]), "q": st.integers(2, 5), "m": st.integers(2, 3),
      "n": st.integers(0, 1)},
     optional=maybe_ok,
-)
-mixed_ok = st.fixed_dictionaries(
+))
+mixed_ok = for_kind(st.fixed_dictionaries(
     {"kind": st.sampled_from(["theorem2", "corollary3"]),
      "blocks": st.sampled_from([[(2, 2), (3, 1)], [(2, 1), (3, 2)], [(2, 2), (3, 2)], [(2, 1), (5, 1)]]).map(
          lambda bs: [{"p": p, "m": m} for p, m in bs])},
     optional=dict(maybe_ok, n=st.lists(st.integers(0, 1), min_size=2, max_size=2)),
-)
+))
 configs = st.one_of(uniform_ok, uniform_ok, mixed_ok, mixed_ok, uniform, mixed, JUNK, st.lists(uniform, max_size=1))
 
 
@@ -169,6 +177,38 @@ def test_build_config_builds_and_verifies_or_exits_2(workdir, cfg):
         assert report.is_ccc
     else:  # the probe must find the violation a corrupted chain table causes
         assert (corrupted, report.is_ccc) == (0, False)
+
+
+@st.composite
+def misspelt(draw):
+    """(config, object, typo): a well-formed config with a misspelling of a _KEYS key added to its top level, a
+    block or its corrupt stanza, the object that carries it."""
+    cfg = draw(st.one_of(uniform_ok, mixed_ok))
+    what = draw(st.sampled_from([cfg["kind"]] + ["block"] * ("blocks" in cfg) + ["corrupt"] * ("corrupt" in cfg)))
+    key = draw(st.sampled_from(_KEYS[what].split()))
+    i = draw(st.integers(0, len(key) - 1))
+    typo = draw(st.sampled_from([key[:i] + key[i + 1 :], key[:i] + key[i] * 2 + key[i + 1 :],
+                                 key[:i] + key[i].swapcase() + key[i + 1 :], key + "s", " " + key]))
+    assume(typo not in (_KEYS[what] + " " + _SHARED).split())
+    obj = cfg["blocks"][0] if what == "block" else cfg["corrupt"] if what == "corrupt" else cfg
+    obj[typo] = obj.get(key, 0)
+    return cfg, obj, typo
+
+
+@FUZZ
+@given(case=misspelt())
+def test_a_misspelt_config_key_exits_2(workdir, case):
+    """A misspelt key never builds.  The error names it, unless the config is refused without it too: the
+    corrupt stanza is read after the spec is built."""
+    cfg, obj, typo = case
+    path = write(workdir / "typo.json", cfg)
+    del obj[typo]
+    clean = write(workdir / "clean.json", cfg)
+    for command in ("build", "probe"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, path]) == 2
+            assert repr(typo) in err.getvalue() or main([command, clean]) == 2, (command, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

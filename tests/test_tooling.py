@@ -1,5 +1,6 @@
-"""Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API;
-one integer counter, one exact zero test, one root table, one place-value map and a Gram by matmul."""
+"""Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API and
+the config keys; one integer counter, one exact zero test, one recount of a reported cell, one root table, one
+place-value map and a Gram by matmul."""
 
 import ast
 import fnmatch
@@ -57,6 +58,15 @@ def test_readme_public_api_lists_the_exports():
     assert not unlisted, f"exported but not in the README: {sorted(unlisted)}"
 
 
+def test_readme_lists_the_config_keys():
+    """The README's config-key list names, object by object, exactly the keys in cli._KEYS."""
+    from ccckit.cli import _KEYS
+
+    section = README.read_text().split("Each config object takes only the keys it reads:")[1].split("\n\n")[1]
+    listed = dict(re.findall(r"^- `(\w+)`[^:\n]*: `([^`]*)`$", section, re.M))
+    assert listed == _KEYS
+
+
 def _calls(name):
     """(module, enclosing function) of every call of ``name``, plain or as an attribute, under src/ccckit."""
     found = []
@@ -84,6 +94,15 @@ def test_one_integer_counter_and_one_exact_zero_test():
     assert _calls("poly_divmod_exact") == []
     assert _calls("reduction_matrix") == []
     assert _calls("cyclotomic") == [("exact_corr", "reduction_matrix")]
+
+
+def test_one_recount():
+    """Every reported cell, from the fft-gram kernel, the shiftwise fallback or the probe, becomes a Violation
+    in verify._violation alone, by one integer recount.  In verify, pair_counts counts cells in _violation and
+    _bad_keys only; character_sums counts value tables, not cells."""
+    assert _calls("Violation") == [("verify", "_violation")]
+    callers = {where for module, where in _calls("pair_counts") if module == "verify"}
+    assert callers == {"_violation", "_bad_keys", "character_sums"}
 
 
 def test_one_root_table():
