@@ -155,6 +155,9 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
     if kind not in ("theorem1", "corollary1", "theorem2", "corollary3"):
         raise ConfigError(f"unknown construction kind {kind!r}")
     _known(cfg, kind, _SHARED)
+    corrupt = _known(cfg["corrupt"], "corrupt") if "corrupt" in cfg else None
+    if corrupt is not None and ("table" in corrupt) == ("constant" in corrupt):
+        raise ConfigError("a corrupt stanza needs exactly one of 'table' and 'constant'")
     rng = random.Random(_int(cfg.get("seed", 0)) if seed is None else seed)
     if kind == "theorem1":
         q, m = _int(cfg["q"]), _int(cfg["m"])
@@ -219,10 +222,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
             offsets = _offsets(cfg.get("offsets"))
             spec = corollary3_spec(domain, J, pis, chains, gs, couplings, offsets)
 
-    if "corrupt" in cfg:
-        corrupt = _known(cfg["corrupt"], "corrupt")
-        if ("table" in corrupt) == ("constant" in corrupt):
-            raise ConfigError("a corrupt stanza needs exactly one of 'table' and 'constant'")
+    if corrupt is not None:
         if "table" in corrupt:
             table = _ints(corrupt["table"])
         else:

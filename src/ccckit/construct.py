@@ -572,9 +572,11 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     work = exps_dtype(2 * q - 1)  # holds T + D <= 2q - 2
     _check_alloc(_tensor_bytes(K * K * L, q, work) + 8 * L * (d.m + 2 * K), f"a ({K}, {L}) code set over Z_{q}")
     digits = digit_matrix(d)
-    T = np.broadcast_to(build_from_spec(func).table, (K, L)).copy()
+    classes = func.restriction_classes()
+    slot_digits = func.slot_digits(classes)
+    T = np.broadcast_to(build_from_spec(func, classes, slot_digits).table, (K, L)).copy()
     D = np.zeros((K, L), dtype=np.int64)
-    for i, (S, slots) in enumerate(zip(seed_digits(cs), func.slot_digits())):
+    for i, (S, slots) in enumerate(zip(seed_digits(cs), slot_digits)):
         w = func.chain_weight(i)
         restricted = S[:, :-1] @ digits[:, list(func.J[i])].T
         T += w * (restricted + S[:, -1:] * slots[:, -1])

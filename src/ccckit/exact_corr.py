@@ -223,26 +223,32 @@ def pair_counts(e1, m1, e2, m2, q, taus=None) -> np.ndarray:
     for tau = taus[i], any shift in (-L, L); the default is 0 .. L-1.  The
     leading axes of the two rows broadcast: two (M, L) rows give
     (len(taus), q), one code against a (K, M, L) set gives (K, len(taus), q).
-    Each shift is one bincount, every pair in its own q bins.  A mask of None
-    means every entry is defined.
+    A mask of None means every entry is defined.
+
+    Every exponent must lie in [0, q), as ``CodeSet`` and ``RootSequence``
+    enforce, so d = e1 - e2 + q lies in [1, 2q - 1] and no modulo is taken.
+    Each shift is one bincount with every pair in its own 2q bins, pair * 2q
+    + d; bins r and q + r both hold the residue r, so summing a pair's two
+    halves gives its q counts exactly.
     """
     L = e1.shape[-1]
     taus = range(L) if taus is None else taus
     batch = np.broadcast_shapes(e1.shape[:-2], e2.shape[:-2])
-    bins = np.arange(math.prod(batch), dtype=np.int64).reshape(batch + (1, 1)) * q
+    bins = np.arange(q, 2 * q * math.prod(batch), 2 * q, dtype=np.int64).reshape(batch + (1, 1))
     out = np.empty(batch + (len(taus), q), dtype=np.int64)
     for i, tau in enumerate(taus):
         if not -L < tau < L:
             raise ValueError(f"shift {tau} out of range for length {L}")
         s1, s2 = (slice(0, L - tau), slice(tau, L)) if tau >= 0 else (slice(-tau, L), slice(0, L + tau))
-        d = np.subtract(e1[..., s1], e2[..., s2], dtype=np.int64) % q  # widen: stored exponents are unsigned
-        d += bins
+        d = bins + e1[..., s1]  # the int64 bins widen the unsigned stored exponents
+        d -= e2[..., s2]
         valid = None
         for mask, s in ((m1, s1), (m2, s2)):
             if mask is not None:
                 valid = mask[..., s] if valid is None else valid & mask[..., s]
         d = d.ravel() if valid is None else d[np.broadcast_to(valid, d.shape)]
-        out[..., i, :] = np.bincount(d, minlength=bins.size * q).reshape(batch + (q,))
+        halves = np.bincount(d, minlength=bins.size * 2 * q).reshape(batch + (2, q))
+        np.add(halves[..., 0, :], halves[..., 1, :], out=out[..., i, :])
     return out
 
 

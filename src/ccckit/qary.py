@@ -400,10 +400,13 @@ class GeneralizedQuadraticSpec:
         _, weight = restriction_weights(self.domain, self.flat_J)
         return digit_matrix(self.domain)[:, list(self.flat_J)] @ np.asarray(weight, dtype=np.int64)
 
-    def slot_digits(self) -> list[np.ndarray]:
-        """Per block i, the (L, m_i - n_i) digits of every point at the chain slots, in its class's pi order."""
+    def slot_digits(self, classes=None) -> list[np.ndarray]:
+        """Per block i, the (L, m_i - n_i) digits of every point at the chain slots, in its class's pi order.
+
+        ``classes`` is restriction_classes(), computed here unless the caller has it.
+        """
         digits = digit_matrix(self.domain)
-        classes = self.restriction_classes()
+        classes = self.restriction_classes() if classes is None else classes
         out = []
         for i in range(self.domain.k):
             pis = np.array([self.pi_for(i, c) for c in range(self.restriction_count())])
@@ -432,7 +435,7 @@ class GeneralizedQuadraticSpec:
                         raise SpecError(f"chain table {name}[{i}][{j + 1}] does not permute Z_{p} under mod {p}")
 
 
-def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
+def build_from_spec(s: GeneralizedQuadraticSpec, classes=None, slots=None) -> QaryFunction:
     """Materialize the value table of the structured function.
 
     On each restriction class N_c the value is
@@ -442,10 +445,13 @@ def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
         + sum_{i'} lam_{i'} * f_{i'}(x at last chain slot of block i')
                             * h_{i'}(x at first chain slot of block i'+1)
         + offset(c),  all mod q.
+
+    ``classes`` and ``slots`` are s.restriction_classes() and
+    s.slot_digits(classes), computed here unless the caller has them.
     """
     q = s.domain.q
-    classes = s.restriction_classes()
-    slots = s.slot_digits()
+    classes = s.restriction_classes() if classes is None else classes
+    slots = s.slot_digits(classes) if slots is None else slots
     table = np.array([s.offset_for(c) for c in range(s.restriction_count())], dtype=np.int64)[classes]
     for i, x in enumerate(slots):
         w = s.chain_weight(i)

@@ -19,6 +19,7 @@ from ccckit.exact_corr import (
 )
 from ccckit.mixed_radix import prime_divisors
 from ccckit.qary import restriction_values
+from ccckit.verify import character_sums
 from ccckit.waveform import RootSequence, psi, psi_restricted
 
 from conftest import counts_via_convolution, cyclotomic_by_division, poly_divmod_exact, rand_root_sequence
@@ -305,6 +306,46 @@ def test_pair_counts_one_code_against_the_set(holes):
             alone = pair_counts(*row, exps[b], None if mask is None else mask[b], q, taus)
             assert np.array_equal(together[b], alone), (a, b)
         assert np.array_equal(pair_counts(exps, mask, *row, q, taus)[a], together[a])
+
+
+def _tally(e1, m1, e2, m2, q, tau):
+    """The q counts of (e1_t - e2_{t+tau}) mod q over the defined pairs of two (M, L) rows, one element at a time."""
+    counts = [0] * q
+    M, L = e1.shape
+    for m in range(M):
+        for t in range(max(0, -tau), min(L, L - tau)):
+            if (m1 is None or m1[m, t]) and (m2 is None or m2[m, t + tau]):
+                counts[(int(e1[m, t]) - int(e2[m, t + tau])) % q] += 1
+    return counts
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 6, 256, 257, 65536, 65537])
+@pytest.mark.parametrize("holes", [False, True])
+def test_pair_counts_fold_matches_a_per_element_count(q, holes):
+    """The 2q-bin fold counts every residue of e1 - e2 exactly, in each storage dtype, at the extreme
+    differences +-(q - 1), with masks, at shifts 0, +-1 and +-(L - 1), and in every broadcast shape."""
+    gen = np.random.default_rng(q + holes)
+    K, M, L = 3, 2, 7
+    exps = gen.integers(q, size=(K, M, L)).astype(construct.exps_dtype(q))
+    exps[0, :, ::2], exps[1, :, ::2] = 0, q - 1  # d = -(q - 1) for (0, 1) and q - 1 for (1, 0) at shift 0
+    exps[0, :, 1::2], exps[1, :, 1::2] = q - 1, 0
+    mask = gen.random((K, M, L)) >= 0.25 if holes else None
+    taus = (0, 1, -1, L - 1, 1 - L)
+    for a in range(K):
+        row = (exps[a], None if mask is None else mask[a])
+        against_set = pair_counts(*row, exps, mask, q, taus)
+        set_against = pair_counts(exps, mask, *row, q, taus)
+        for b in range(K):
+            other = (exps[b], None if mask is None else mask[b])
+            want = [_tally(*row, *other, q, tau) for tau in taus]
+            assert pair_counts(*row, *other, q, taus).tolist() == want, (a, b)
+            assert against_set[b].tolist() == want, (a, b)
+            assert set_against[b].tolist() == [_tally(*other, *row, q, tau) for tau in taus], (a, b)
+    rs = (1, q - 1, gen.integers(q))
+    table = gen.integers(q, size=q)
+    table[::2] = q - 1
+    want = [np.bincount(r * table % q, minlength=q).tolist() for r in rs]
+    assert character_sums(table, rs).tolist() == want  # the (R, 1, q) set against one all-zero code
 
 
 def test_profile_negative_shifts_match_direct(rng):

@@ -198,17 +198,33 @@ def misspelt(draw):
 @FUZZ
 @given(case=misspelt())
 def test_a_misspelt_config_key_exits_2(workdir, case):
-    """A misspelt key never builds.  The error names it, unless the config is refused without it too: the
-    corrupt stanza is read after the spec is built."""
+    """A misspelt key never builds.  The error names it, unless it sits in a block and the config is refused
+    without it too; the top level and the corrupt stanza are read before any spec is built, so a typo there
+    is always named."""
     cfg, obj, typo = case
     path = write(workdir / "typo.json", cfg)
     del obj[typo]
     clean = write(workdir / "clean.json", cfg)
+    named_first = obj is cfg or obj is cfg.get("corrupt")
     for command in ("build", "probe"):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             assert main([command, path]) == 2
-            assert repr(typo) in err.getvalue() or main([command, clean]) == 2, (command, err.getvalue())
+            named = repr(typo) in err.getvalue()
+            assert named or (not named_first and main([command, clean]) == 2), (command, err.getvalue())
+
+
+def test_a_corrupt_stanza_typo_is_named_before_the_spec_fails(workdir):
+    """Block 0 has no free position once n = [1, 0] restricts its one variable, so the spec fails to build;
+    the misspelt corrupt key is named all the same."""
+    cfg = {"kind": "corollary3", "blocks": [{"p": 2, "m": 1}, {"p": 3, "m": 1}], "n": [1, 0],
+           "corrupt": {"blok": 0, "constant": 0}}
+    path = write(workdir / "typo-first.json", cfg)
+    for command in ("build", "probe"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([command, path]) == 2
+        assert "'blok'" in err.getvalue(), (command, err.getvalue())
 
 
 # ---------------------------------------------------------------------------

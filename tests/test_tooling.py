@@ -88,9 +88,20 @@ def _calls(name):
 
 
 def test_one_integer_counter_and_one_exact_zero_test():
-    """np.bincount runs in pair_counts alone; no src code calls the long division, which is a test oracle now,
-    or the reduction matrix, which the annihilator test replaced; only the reduction matrix builds Phi_q."""
+    """np.bincount runs in pair_counts alone, and pair_counts takes no per-element modulo (no %, %=, mod,
+    remainder, fmod or divmod): it folds 2q bins per pair instead.  No src code calls the long division, which
+    is a test oracle now, or the reduction matrix, which the annihilator test replaced; only the reduction
+    matrix builds Phi_q."""
     assert _calls("bincount") == [("exact_corr", "pair_counts")]
+    tree = ast.parse((SRC / "exact_corr.py").read_text())
+    counter = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "pair_counts")
+    modulo = [
+        node.lineno for node in ast.walk(counter)
+        if isinstance(getattr(node, "op", None), ast.Mod)
+        or (isinstance(node, ast.Attribute) and node.attr in ("mod", "remainder", "fmod", "divmod"))
+        or (isinstance(node, ast.Name) and node.id in ("mod", "remainder", "fmod", "divmod"))
+    ]
+    assert modulo == [], f"pair_counts takes a modulo at lines {modulo}"
     assert _calls("poly_divmod_exact") == []
     assert _calls("reduction_matrix") == []
     assert _calls("cyclotomic") == [("exact_corr", "reduction_matrix")]
