@@ -81,7 +81,8 @@ def _tables(ts) -> tuple:
     return tuple(_ints(t) for t in ts)
 
 
-# The keys each config object reads; a construction kind also reads _SHARED.  Any other key is a config error.
+# The keys each config object reads; a construction kind also reads _SHARED, a kronecker config only "kind".
+# Any other key is a config error.
 _KEYS = {
     "theorem1": "q m pi h hp g",
     "corollary1": "q m n J pi h hp g offsets",
@@ -239,7 +240,9 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
 
 def build_from_config(cfg: dict, seed: int | None = None) -> CodeSet:
     if isinstance(cfg, dict) and cfg.get("kind") == "kronecker":
-        _known(cfg, "kronecker", _SHARED)
+        _known(cfg, "kronecker", "kind")
+        if seed is not None:
+            raise ConfigError("a kronecker config reads no seed, so --seed does not apply to it")
         inputs = cfg.get("inputs") or []
         if not isinstance(inputs, list) or len(inputs) < 2 or not all(isinstance(p, str) for p in inputs):
             raise ConfigError("kronecker needs a list of at least two input code-set paths")

@@ -80,6 +80,21 @@ def _check_alloc(nbytes: int, what: str) -> None:
         )
 
 
+def _reduce_sums(x: np.ndarray, q: int) -> None:
+    """x mod q in place, for a C-contiguous x whose entries lie in [0, 2q - 2].
+
+    On the unsigned view, x - q wraps above x when x < q, so min(x, x - q)
+    is x mod q with no division.  It works through 64 KiB slabs, so its one
+    temporary stays small whatever the size of x.
+    """
+    flat = x.view(f"u{x.itemsize}").reshape(-1)
+    step = (1 << 16) // x.itemsize
+    wrap = np.empty(min(flat.size, step), flat.dtype)
+    for i in range(0, flat.size, step):
+        s = flat[i : i + step]
+        np.minimum(s, np.subtract(s, q, out=wrap[: s.size]), out=s)
+
+
 def _tensor_bytes(entries: int, q: int, work: np.dtype) -> int:
     """Peak bytes of a tensor computed in ``work`` and stored in ``exps_dtype(q)``.
 
@@ -562,7 +577,7 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     terms: per block, weight q/p_i times [(d_v + t_v) on the restricted
     positions, d_last on the first chain slot, t_last on the last chain slot].
     The terms split into T[t] (base, t's part) and D[d] (d's part), so the
-    tensor is one broadcast (T[:, None] + D[None]) mod q.
+    tensor is one broadcast T[:, None] + D[None] of residues, reduced once.
     """
     func = cs.func
     if not func.corrupted:
@@ -583,7 +598,7 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
         D += w * (restricted + S[:, -1:] * slots[:, 0])
     exps = np.empty((K, K, L), dtype=work)
     np.add((T % q).astype(work)[:, None], (D % q).astype(work)[None], out=exps)
-    exps %= q
+    _reduce_sums(exps, q)
     meta = {
         "kind": cs.kind,
         "blocks": [list(b) for b in d.blocks],
@@ -642,7 +657,7 @@ def kronecker_compose(C: CodeSet, D: CodeSet, *, skip_verify: bool = False) -> C
     a = np.multiply(C.exps, Q // C.q, dtype=work)
     b = np.multiply(D.exps, Q // D.q, dtype=work)
     exps = a[:, None, :, None, :, None] + b[None, :, None, :, None, :]
-    exps %= Q
+    _reduce_sums(exps, Q)
     exps = exps.reshape(K, M, L)
     mask = None
     if masked:

@@ -16,14 +16,17 @@ j a unit <= q/2, through FFTs in float64 and calls the cell nonzero when
 some |Theta_j| >= 1/2.  That is exact: a nonzero cell has a nonzero integer
 norm, the product of its images over all units j, so one image has modulus
 >= 1, and ``fft_gram_bound`` proves every computed image within 1/2 of the
-true one (FFT error after Percival, Math. Comp. 72 (2003) 387-395).  Callers
-check the bound first and fall back to the integer shiftwise counts when it
-fails.  It works in tiles of code pairs: per chunk of sequences, one FFT call
-gives a block's spectra, bin-major, and one batched matmul over the bins the
-tile's Gram; a diagonal tile transforms its pairs a <= b only.  Its buffers
-fit one fixed budget, ``TILE_BYTES``, and ``plan_tiles`` picks the tile
-shape of least modelled time within it.  Evaluated at the one character
-j = 1 against a magnitude threshold, it is also the advisory float check.
+true one.  Its FFT length N is the least 2^a 3^b 5^c >= 2L - 1
+(``fft_length``), and ``fft_error`` bounds numpy's FFT error there pass by
+pass over the radix-8/4/2/3/5 passes its pocketfft runs, after Percival
+(Math. Comp. 72 (2003) 387-395).  Callers check the bound first and fall
+back to the integer shiftwise counts when it fails.  It works in tiles of
+code pairs: per chunk of sequences, one FFT call gives a block's spectra,
+bin-major, and one batched matmul over the bins the tile's Gram; a diagonal
+tile transforms its pairs a <= b only.  Its buffers fit one fixed budget,
+``TILE_BYTES``, and ``plan_tiles`` picks the tile shape of least modelled
+time within it.  Evaluated at the one character j = 1 against a magnitude
+threshold, it is also the advisory float check.
 
 Shift convention: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau}) over the t
 with 0 <= t, t + tau < L, for any tau in (-L, L).  ``pair_counts`` is the one
@@ -316,8 +319,21 @@ ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, 
 
 
 def fft_length(L: int) -> int:
-    """Smallest power of two >= 2L - 1: circular correlation without wrap-around."""
-    return 1 << (2 * L - 2).bit_length()
+    """Smallest 2^a 3^b 5^c >= 2L - 1: circular correlation without wrap-around, in radix-8/4/2/3/5 passes.
+
+    For each 3^b 5^c below the best length so far, the least power of two
+    that lifts it to 2L - 1 or more.
+    """
+    n = 2 * L - 1
+    best = 1 << (n - 1).bit_length()
+    p3 = 1
+    while p3 < best:
+        p = p3
+        while p < best:
+            best = min(best, p << ((n - 1) // p).bit_length())
+            p *= 5
+        p3 *= 3
+    return best
 
 
 @functools.lru_cache(maxsize=None)
@@ -329,16 +345,71 @@ def character_units(q: int) -> tuple[int, ...]:
     return tuple(j for j in range(q // 2 + 1) if math.gcd(j, q) == 1)
 
 
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): n roundings, each a factor 1 + delta with |delta| <= u, stay within gamma_n."""
+    return n * UNIT_ROUNDOFF / (1 - n * UNIT_ROUNDOFF)
+
+
+def fft_error(N: int) -> float:
+    """eta_F: a bound on the relative 2-norm error of numpy's fft, or ifft, of a 5-smooth length N.
+
+    It rests on these facts about numpy >= 2.0, whose FFT is the C++
+    pocketfft (``pocketfft_c``), pinned by ``test_fft_error_bounds_numpy``:
+    * At a 5-smooth N the plan is ``cfftp``, never Bluestein (which needs a
+      prime factor p with p^2 > N >= 50).  It takes the factor 8 while 8
+      divides, then 4, then one 2, then the 3s and 5s, and runs one
+      radix-r pass per factor.
+    * A pass maps each group z of r entries to W F_r z: the radix-r
+      butterfly, then a product by unit twiddles (W = I on the first
+      group).  In double precision each input component enters each output
+      component once, times the real or imaginary part of its DFT
+      coefficient, through at most d_r roundings, the rounding of a stored
+      constant counted: d = 1, 2, 6 for r = 2, 4, 8 (radix 8: two levels of
+      sums, the 1/sqrt 2 rotation's sum, product and constant, the last
+      sum) and d = 4, 6 for r = 3, 5 (radix 5: a sum, the constant, the
+      product, two sums, the last sum).  An FMA only lowers d.
+    * A twiddle is the complex product of two table entries, each
+      (cos, sin) of an angle k' fl(pi / 4N) in the first octant, so within
+      2u (the angle) + 4u (a libm within two ulps) of exact; mu = 16u
+      covers twice that plus the product's sqrt 2 gamma_2.
+    * ifft scales by fl(1/N), one product a component, so gamma_2 more.
+    * No underflow or overflow: the data are sums of unit roots.
+    A pass is then within eta_r sqrt r ||z|| of the exact W F_r z: an
+    output's real and imaginary parts are each off by gamma_d ||z||_1, so the
+    r butterfly outputs by sqrt(2 r) gamma_d sqrt r ||z|| in 2-norm, and the
+    twiddle product adds mu and sqrt 2 gamma_2: 1 + eta_r = (1 + mu)
+    (1 + sqrt 2 gamma_2)(1 + sqrt(2 r) gamma_{d_r}).  Each exact pass is
+    sqrt r times a unitary map, so the per-stage induction of Percival
+    (Math. Comp. 72 (2003) 387-395), taken pass by pass in the manner of
+    Schatzman (SIAM J. Sci. Comput. 17 (1996)), bounds eta_F by
+    (1 + gamma_2) prod (1 + eta_r) - 1 <= e^S - 1 <= S / (1 - S), S the sum
+    of gamma_2 and of every pass's mu + sqrt 2 gamma_2 + sqrt(2 r) gamma_{d_r}.
+    ValueError if N is not 5-smooth.
+    """
+    rounds = {2: 1, 4: 2, 8: 6, 3: 4, 5: 6}  # d_r
+    twos = (N & -N).bit_length() - 1
+    radices = [8] * (twos // 3) + [[], [2], [4]][twos % 3]
+    rest = N >> twos
+    for p in (3, 5):
+        while rest % p == 0:
+            rest //= p
+            radices.append(p)
+    if rest != 1:
+        raise ValueError(f"FFT length {N} is not 5-smooth")
+    mu, twiddle = 16 * UNIT_ROUNDOFF, math.sqrt(2) * _gamma(2)
+    s = _gamma(2) + sum(mu + twiddle + math.sqrt(2 * r) * _gamma(rounds[r]) for r in radices)
+    return s / (1 - s)
+
+
 def fft_gram_bound(M: int, L: int) -> float:
     """A-priori bound on |Theta_hat_j - Theta_j| for every cell and character j.
 
     u = 2^-53, gamma_n = n u / (1 - n u), N = fft_length(L), P = M L.
-    * Transforms: Percival (Math. Comp. 72 (2003) 387-395) bounds the relative
-      2-norm error of a power-of-two FFT with twiddles accurate to mu by
-      s eta / (1 - s eta), eta = mu + gamma_4 (sqrt 2 + mu), s = log2 N.  We
-      take mu = 4u and s = 2 log2 N, a margin for mixed radix-2/4 passes.
-      With the root-table error e, a spectrum is off by at most
-      d1 sqrt(N L) in 2-norm, d1 = e + eta_F (1 + e).
+    * Transforms: ``fft_error(N)`` bounds the relative 2-norm error eta_F of
+      numpy's fft and ifft pass by pass, for the radix-8/4/2/3/5 passes its
+      pocketfft runs at N, and states what it assumes of pocketfft.  With
+      the root-table error e, a spectrum is off by at most d1 sqrt(N L) in
+      2-norm, d1 = e + eta_F (1 + e).
     * Gram and inverse transform: Cauchy-Schwarz over the N bins gives
       |Theta_hat - Theta| <= P (2 d1 + d1^2 + g (1 + d1)^2)
       + eta_F P sqrt(L) (1 + sqrt(N / L) d1) (1 + d1) (1 + g), g = sqrt 2 gamma_{M+2}.
@@ -356,17 +427,10 @@ def fft_gram_bound(M: int, L: int) -> float:
     matmul over mc sequences, split any way, gives D <= 2 mc; the sum over
     c chunks adds c - 1, and plan_tiles keeps 2 mc + c - 1 <= M + 2.
     """
-    u = UNIT_ROUNDOFF
-
-    def gamma(n):
-        return n * u / (1 - n * u)
-
     N = fft_length(L)
-    stages = 2 * max(N.bit_length() - 1, 1)
-    eta = 4 * u + gamma(4) * (math.sqrt(2) + 4 * u)
-    eta_f = stages * eta / (1 - stages * eta)
+    eta_f = fft_error(N)
     d1 = ROOT_ERROR + eta_f * (1 + ROOT_ERROR)
-    g = math.sqrt(2) * gamma(M + 2)
+    g = math.sqrt(2) * _gamma(M + 2)
     peak = M * L
     theta_err = peak * (2 * d1 + d1 * d1 + g * (1 + d1) ** 2)
     theta_err += eta_f * peak * math.sqrt(L) * (1 + math.sqrt(N / L) * d1) * (1 + d1) * (1 + g)
@@ -443,20 +507,19 @@ def _spectra(buf, index, exps, mask, roots, js, k0, kk, m0, mm, N):
     return np.fft.fft(x, axis=0, out=x)
 
 
-def _theta(bufs, exps, mask, roots, js, a0, ka, b0, kb, mc, upper=None):
+def _theta(bufs, exps, mask, roots, js, a0, ka, b0, kb, mc, N, upper=None):
     """Theta_hat of the code pairs of the tile (a0, b0) at every bin and character of js: an (N, J, pairs) view.
 
     bufs = (spec_a, spec_b, gram, scratch, index), sized by plan_tiles for at
-    least J = js.size characters.  Pairs run in row-major (a, b) order; on a
-    diagonal tile only the pairs a <= b, the flat indices ``upper`` of the
-    ka x ka Gram, which is moved into the scratch.  Otherwise the values stay
-    in the Gram.  Per chunk of mc sequences, each block's spectra come from
-    one FFT call and the Gram from one batched matmul over the bins and
-    characters, summed over the chunks.
+    least J = js.size characters at the FFT length N = fft_length(L).  Pairs
+    run in row-major (a, b) order; on a diagonal tile only the pairs a <= b,
+    the flat indices ``upper`` of the ka x ka Gram, which is moved into the
+    scratch.  Otherwise the values stay in the Gram.  Per chunk of mc
+    sequences, each block's spectra come from one FFT call and the Gram from
+    one batched matmul over the bins and characters, summed over the chunks.
     """
     spec_a, spec_b, gram, scratch, index = bufs
-    M, L = exps.shape[1:]
-    N, J = fft_length(L), js.size
+    M, J = exps.shape[1], js.size
     th = gram[: N * J * ka * kb].reshape(N, J, ka, kb)
     for m0 in range(0, M, mc):
         mm = min(mc, M - m0)
@@ -524,7 +587,7 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
             nz[:] = False
             for c0 in range(0, js.size, J):
                 part = js[c0 : c0 + J]
-                theta = _theta(bufs, exps, mask, roots, part, a0, ka, b0, kb, mc, upper if diagonal else None)
+                theta = _theta(bufs, exps, mask, roots, part, a0, ka, b0, kb, mc, N, upper if diagonal else None)
                 if diagonal:
                     theta[0] -= peaks
                 size = (gram if diagonal else scratch)[: theta.size].real.reshape(theta.shape)  # the free buffer

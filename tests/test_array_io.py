@@ -303,6 +303,17 @@ def test_exps_dtype_boundaries():
     ]
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 128, 129, 32768, 32769, 70000])
+def test_reduce_sums_is_mod_q_on_every_work_dtype(q):
+    """Sums of two residues, [0, 2q - 2], reduce to x % q in the build's work dtype, across several slabs."""
+    work = exps_dtype(2 * q - 1)
+    rng = np.random.default_rng(q)
+    x = np.concatenate([np.arange(2 * q - 1), rng.integers(0, 2 * q - 1, size=300_000)]).astype(work)
+    want = x.astype(np.int64) % q
+    construct._reduce_sums(x, q)
+    assert x.dtype == work and np.array_equal(x, want)
+
+
 def test_shift_counter_widens_unsigned_exponents():
     # 0 - 2 wraps to 254 in uint8, and 254 % 3 = 2; the true difference is 1 mod 3
     e1, e2 = np.array([[0]], dtype=np.uint8), np.array([[2]], dtype=np.uint8)

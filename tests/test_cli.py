@@ -369,6 +369,24 @@ def test_kronecker_skip_verify_is_a_json_bool(tmp_path, capsys, skip):
     assert main(["build", write(tmp_path / "kr.json", dict(cfg, skip_verify=True)), "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize(
+    "extra, flags, named",
+    [({"seed": "x"}, [], "unknown kronecker config key 'seed'"),
+     ({"corrupt": {"blok": 5}}, [], "unknown kronecker config key 'corrupt'"),
+     ({}, ["--seed", "7"], "--seed does not apply")],
+    ids=["seed", "corrupt", "seed_flag"],
+)
+def test_kronecker_config_refuses_seed_and_corrupt(tmp_path, capsys, extra, flags, named):
+    """A Kronecker product reads no seed and corrupts nothing, so either is a mistake to name, not a silent no-op."""
+    a = tmp_path / "a.json"
+    assert main(["build", write(tmp_path / "ca.json", THEOREM1_22), "--out", str(a)]) == 0
+    out = tmp_path / "out.json"
+    cfg = dict({"kind": "kronecker", "inputs": [str(a), str(a)]}, **extra)
+    assert main(["build", write(tmp_path / "kr.json", cfg), "--out", str(out)] + flags) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["build", "probe"])
 @pytest.mark.parametrize(
     "text, key",

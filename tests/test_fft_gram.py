@@ -222,9 +222,60 @@ def test_first_character_alone_cannot_decide():
 def test_bound_below_half_on_benchmark_sets():
     sizes = [(6, 1296, 6), (8, 1024, 2), (30, 180, 30), (12, 72, 6), (6, 72, 6), (9, 243, 3),
              (81, 2187, 3), (72, 432, 6), (60, 1800, 30), (36, 432, 6), (216, 2592, 6),
-             (128, 16384, 2), (5, 25, 5)]
+             (128, 16384, 2), (5, 25, 5), (17, 289, 323), (31, 961, 31)]
     for M, L, q in sizes:
         assert exact_corr.fft_gram_bound(M, L) < 0.5, (M, L, q)
+
+
+def is_5_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_length_is_the_least_5_smooth_length():
+    for L in range(1, 5001):
+        n = 2 * L - 1
+        while not is_5_smooth(n):
+            n += 1
+        assert exact_corr.fft_length(L) == n, L
+    assert [exact_corr.fft_length(L) for L in (180, 289, 1024, 2187)] == [360, 600, 2048, 4374]
+    with pytest.raises(ValueError):
+        exact_corr.fft_error(7)
+
+
+@pytest.mark.parametrize("N", [25, 45, 81, 360, 600, 2592, 4374])
+def test_fft_error_bounds_numpy(N):
+    """numpy's fft and ifft at 5-smooth N stay within fft_error(N) of an extended-precision reference.
+
+    fft_gram_bound rests on fft_error's assumptions about numpy's pocketfft; a numpy whose FFT breaks
+    them, by its passes, its twiddles or its scaling, fails here instead of leaving an unsound bound.
+    The reference is the same transform in long double, whose own error is 2^-11 of the double one's.
+    """
+    if np.finfo(np.longdouble).eps > 2.0**-60:
+        pytest.skip("long double is no wider than double here")
+    x = np.exp(2j * np.pi * np.random.default_rng(N).random((N, 8)))  # unit-modulus columns
+    for transform in (np.fft.fft, np.fft.ifft):
+        ref = transform(x.astype(np.clongdouble), axis=0)
+        assert ref.dtype == np.clongdouble
+        err = np.linalg.norm(transform(x, axis=0) - ref, axis=0) / np.linalg.norm(ref, axis=0)
+        assert err.max() < exact_corr.fft_error(N), (N, transform.__name__, err.max())
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 13, 41, 180])
+def test_kernel_matches_shiftwise_at_smooth_lengths(L):
+    """At odd N = 2L - 1, where no bin lies between the two halves of a correlation, and at N = 360 (L = 180)."""
+    N = exact_corr.fft_length(L)
+    assert N == (360 if L == 180 else 2 * L - 1)
+    rng = np.random.default_rng(L)
+    for q in (2, 6, 30):
+        for shape in [(3, 2, L), (1, 3, L)]:
+            C = ck.CodeSet(q, rng.integers(0, q, size=shape))
+            assert_same_as_shiftwise(C)
+            assert_same_as_shiftwise(with_holes(C, q, frac=0.3))
+    if L == 180:
+        assert not assert_same_as_shiftwise(with_flips(certify_q30_set(), 180)).is_ccc
 
 
 def test_bound_fails_for_huge_sets():
@@ -341,10 +392,10 @@ def kernel_values(C, js):
         for b0 in range(a0, K, k):
             kb = min(k, K - b0)
             if a0 == b0:
-                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc, ua * ka + ub)
+                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc, N, ua * ka + ub)
                 out[:, a0 + ua, a0 + ub] = theta.transpose(1, 2, 0)
             else:
-                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc)
+                theta = exact_corr._theta(bufs, C.exps, C.mask, roots, js, a0, ka, b0, kb, mc, N)
                 out[:, a0 : a0 + ka, b0 : b0 + kb] = theta.reshape(N, J, ka, kb).transpose(1, 2, 3, 0)
     return out
 
@@ -376,7 +427,7 @@ def test_kernel_error_far_below_the_bound(monkeypatch):
     """The matmul Gram sums in BLAS order; the measured error stays two orders of magnitude under fft_gram_bound.
 
     Tiles of 5 codes and chunks of 5 sequences leave edge tiles and partial chunks on the 12x12 sets;
-    the corrupted set has nonzero cells.
+    the corrupted set has nonzero cells.  Their FFT lengths run radix-8, 4, 2, 3 and 5 passes.
     """
     monkeypatch.setattr(exact_corr, "plan_tiles", lambda K, M, L: (5, 5, 0))  # kernel_values sizes its own buffers
     rng = np.random.default_rng(5)
@@ -384,7 +435,11 @@ def test_kernel_error_far_below_the_bound(monkeypatch):
         {"kind": "corollary3", "blocks": blocks((2, 3), (3, 2)), "n": [1, 0], "seed": 2}))
     corrupted = ck.build_code_set(spec_from_config(CORRUPTED_CONFIGS[2]))
     random323 = with_holes(ck.CodeSet(323, rng.integers(0, 323, size=(5, 4, 33))), 5)
-    for C in (tiled, corrupted, random323):
+    radix35 = ck.build_code_set(spec_from_config(  # N = 90 = 2 * 3 * 3 * 5
+        {"kind": "corollary3", "blocks": blocks((3, 2), (5, 1)), "n": [0, 0], "seed": 2}))
+    random30 = with_holes(ck.CodeSet(30, rng.integers(0, 30, size=(4, 3, 180))), 6)  # N = 360 = 8 * 3 * 3 * 5
+    random6 = ck.CodeSet(6, rng.integers(0, 6, size=(3, 3, 50)))  # N = 100 = 4 * 5 * 5
+    for C in (tiled, corrupted, random323, radix35, random30, random6):
         err, bound = largest_kernel_error(C), exact_corr.fft_gram_bound(C.M, C.L)
         assert 0 < err < bound / 100, (C.exps.shape, C.q, err, bound)
 
