@@ -9,10 +9,6 @@ from .construct import (
     CodeSet,
     ConstructionSpec,
     build_code_set,
-    build_corollary1,
-    build_corollary3,
-    build_theorem1,
-    build_theorem2,
     corollary1_spec,
     corollary3_spec,
     corrupt_spec,

@@ -30,11 +30,11 @@ import random
 import re
 import sys
 
-from . import example72
 from .construct import (
     CodeSet,
     ConfigError,
     ConstructionSpec,
+    _check_alloc,
     build_code_set,
     corollary1_spec,
     corollary3_spec,
@@ -314,6 +314,8 @@ def cmd_profile(args) -> int:
     if not (0 <= args.k1 < codes.K and 0 <= args.k2 < codes.K):
         raise ConfigError(f"code indices must lie in [0, {codes.K})")
     q, taus = codes.q, range(1 - codes.L, codes.L)
+    # the root table, one shift's 2q bins, and the counts with their complex values at every shift
+    _check_alloc(32 * q + 24 * q * len(taus), f"the correlation profile of two codes over Z_{q}")
     prof = CorrelationProfile(q, codes.L, codes.M, pair_counts(*codes.row(args.k1), *codes.row(args.k2), q, taus))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -334,6 +336,8 @@ def cmd_probe(args) -> int:
 
 
 def cmd_reproduce72(args) -> int:
+    from . import example72  # only this command needs it
+
     checks = example72.reproduce()
     ok = True
     for name, passed, detail in checks:

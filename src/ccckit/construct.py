@@ -200,11 +200,11 @@ class CodeSet:
         """
         if not isinstance(data, dict):
             raise ConfigError(f"a code set is a JSON object, got {type(data).__name__}")
-        q, codes, meta = data.get("q"), data.get("codes"), data.get("meta") or {}
+        q, codes, meta = data.get("q"), data.get("codes"), data.get("meta")
         if type(q) is not int or q < 1:
             raise ConfigError(f"q must be a positive integer, got {q!r}")
-        if not isinstance(meta, dict):
-            raise ConfigError("meta must be a JSON object")
+        if not isinstance(meta, (dict, type(None))):  # absent or null: no metadata
+            raise ConfigError("meta must be a JSON object or null")
         if not isinstance(codes, list) or not all(isinstance(row, list) for row in codes):
             raise ConfigError("codes must be a list of codes, each a list of sequences")
         K = len(codes)
@@ -608,30 +608,6 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     if func.corrupted:
         meta["corruption"] = func.corruption_note
     return CodeSet(q, exps, meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# named builders
-
-
-def build_theorem1(q: int, m: int, h, hp, g, pi) -> CodeSet:
-    """(q, q^m) code set from m-1 chain pairs; K = M = q."""
-    return build_code_set(theorem1_spec(q, m, h, hp, g, pi))
-
-
-def build_corollary1(q: int, m: int, n: int, J, pi, h, hp, g, offsets="auto") -> CodeSet:
-    """(q^{n+1}, q^m) code set with n restricted variables."""
-    return build_code_set(corollary1_spec(q, m, n, J, pi, h, hp, g, offsets))
-
-
-def build_theorem2(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam) -> CodeSet:
-    """(p1 p2, p1^{m1} p2^{m2}) code set over the two-block domain."""
-    return build_code_set(theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam))
-
-
-def build_corollary3(domain, J, pi, chains, gs, couplings=None, offsets=None) -> CodeSet:
-    """(prod p_i^{n_i+1}, prod p_i^{m_i}) code set over a general mixed domain."""
-    return build_code_set(corollary3_spec(domain, J, pi, chains, gs, couplings, offsets))
 
 
 def kronecker_compose(C: CodeSet, D: CodeSet, *, skip_verify: bool = False) -> CodeSet:

@@ -138,12 +138,6 @@ class GroupRingElement:
         """Complex conjugation: exponent j becomes -j mod q."""
         return GroupRingElement(self.q, tuple(self.counts[(-j) % self.q] for j in range(self.q)))
 
-    def shifted(self, const: int) -> "GroupRingElement":
-        """Subtract the integer const (as const * zeta^0)."""
-        counts = list(self.counts)
-        counts[0] -= const
-        return GroupRingElement(self.q, tuple(counts))
-
     def to_complex(self) -> complex:
         return complex(np.dot(np.asarray(self.counts, dtype=np.float64), root_table(self.q)))
 
@@ -287,9 +281,6 @@ class CorrelationProfile:
     def magnitudes(self) -> np.ndarray:
         return np.abs(self.complex_values())
 
-    def zero_flags(self) -> np.ndarray:
-        return zero_count_rows(self.counts, self.q)
-
 
 def correlation_profile(row1, row2) -> CorrelationProfile:
     """All shifts -(L-1) .. L-1 of the code-level correlation between two rows."""
@@ -313,7 +304,7 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
 # FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin (a
 # batched matmul), inverse FFT.
 
-TILE_BYTES = 3 << 19  # working set of one fft_gram_cells call (1.5 MiB), whatever the set size
+TILE_BYTES = 3 << 19  # fft_gram_cells' buffers (1.5 MiB), whatever the set size; decoding flagged cells comes on top
 UNIT_ROUNDOFF = 2.0**-53
 ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, r < q
 

@@ -202,21 +202,8 @@ def restriction_weights(d: DomainSpec, J) -> tuple[tuple[int, ...], tuple[int, .
     return radix, tuple(weight)
 
 
-def restriction_index(d: DomainSpec, J, c) -> int:
-    """Canonical integer labelling the restriction digits c on positions J (see restriction_weights)."""
-    J = tuple(J)
-    c = tuple(int(v) for v in c)
-    if len(J) != len(c):
-        raise ValueError("J and c must have equal length")
-    radix, weight = restriction_weights(d, J)
-    for j, cj, p in zip(J, c, radix):
-        if not 0 <= cj < p:
-            raise ValueError(f"restriction digit {cj} at position {j} violates bound {p}")
-    return sum(cj * w for cj, w in zip(c, weight))
-
-
 def restriction_values(d: DomainSpec, J) -> list[tuple[int, ...]]:
-    """All digit tuples c for positions J; the one at list index i has restriction_index i."""
+    """All digit tuples c for positions J; the one at list index i is restriction class i."""
     radix, weight = restriction_weights(d, J)
     return [tuple(c) for c in place_digits(np.arange(prod(radix)), radix, weight).tolist()]
 
@@ -271,7 +258,7 @@ def restrict(f: QaryFunction, J, c) -> RestrictedFunction:
 # structured (generalized quadratic) functions
 
 def _per_restriction(value, idx: int):
-    """Fetch a per-restriction entry: dicts are keyed by restriction_index."""
+    """Fetch a per-restriction entry: dicts are keyed by restriction class, its index in restriction_values."""
     if isinstance(value, dict):
         return value[idx]
     return value

@@ -13,12 +13,15 @@ nonzero cell has a nonzero integer norm, so one of its |Theta_j| is >= 1;
 the test is exact because the proven error bound ``fft_gram_bound`` on each
 |Theta_j| is checked to be below 1/2 before the kernel runs.  Float mode is
 the same loop with the character j = 1 and the threshold
-FLOAT_ZERO_FACTOR * M * L.  The kernel's memory is one fixed 1.5 MiB
+FLOAT_ZERO_FACTOR * M * L.  The kernel's buffers fit one fixed 1.5 MiB
 budget (``exact_corr.TILE_BYTES``), whatever the set size: tiles of code
 pairs whose spectra come from one FFT call a chunk and whose Gram is one
-batched matmul over the bins.  When the bound fails, the shiftwise loop
-runs instead: one integer bincount per shift and code, which counts that
-code against the whole set.  It is also the kernel's test oracle.
+batched matmul over the bins.  Decoding a tile's flagged cells is not in
+that budget: where nearly every cell is nonzero it takes about one plan
+more (2.57 MB traced against a 1.48 MB plan).  When the bound fails, the
+shiftwise loop runs instead: one integer bincount per shift and code, which
+counts that code against the whole set.  It is also the kernel's test
+oracle.
 
 Both kernels hand over a flagged cell as its key (a K + b) L + tau, and one
 integer recount, ``_violation``, turns a key into a ``Violation``, so every
@@ -38,7 +41,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .construct import CodeSet, ConstructionSpec, build_code_set
+from .construct import CodeSet, ConstructionSpec, _check_alloc, build_code_set
 from .exact_corr import (
     GroupRingElement,
     fft_gram_bound,
@@ -114,6 +117,9 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
         bound, tol = 0.0, FLOAT_ZERO_FACTOR * M * L
     else:
         bound, tol = fft_gram_bound(M, L), None
+    # the root table, the character list and the recount rows, each with 2q bins and q counts
+    rows = 1 if bound < 0.5 else K
+    _check_alloc(16 * q + 8 * (q // 2 + 1) + 24 * q * rows, f"verifying a ({K}, {L}) code set over Z_{q}")
     if bound < 0.5:
         total, keys = fft_gram_cells(C.exps, C.mask, q, max_violations, tol)
         keys, kernel = keys.tolist(), "fft-gram"

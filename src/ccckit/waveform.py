@@ -51,9 +51,6 @@ class RootSequence:
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, e in enumerate(self.entries) if e is not None)
 
-    def is_full(self) -> bool:
-        return all(e is not None for e in self.entries)
-
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponents int64 with 0 at holes, defined-mask bool)."""
         mask = np.array([e is not None for e in self.entries], dtype=bool)

@@ -5,7 +5,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,16 @@ import ccckit as ck
 from ccckit.exact_corr import _stack_row
 from ccckit.mixed_radix import prime_divisors
 from ccckit.qary import is_permutation_mod
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args, timeout: float, cwd=None) -> subprocess.CompletedProcess:
+    """``python *args`` in a child process that imports ccckit from this checkout; text output captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True, text=True,
+                          timeout=timeout, cwd=cwd)
 
 
 def rand_table(rng: random.Random, q: int) -> tuple:

@@ -82,11 +82,11 @@ def test_criterion_03_theorem1_necessity():
 def test_criterion_04_corollary1_9_27():
     rng = random.Random(404)
     q, m, n = 3, 3, 1
-    C = ck.build_corollary1(
+    C = ck.build_code_set(ck.corollary1_spec(
         q, m, n, J=(2,), pi=(0, 1),
         h=[rand_perm_table(rng, q, q)], hp=[rand_perm_table(rng, q, q)],
         g=[rand_table(rng, q), rand_table(rng, q)],
-    )
+    ))
     rep = ck.verify_ccc(C, mode="exact")
     ok = (C.K, C.L) == (9, 27) and rep.is_ccc and rep.peak == q ** (m + n + 1) == 243
     report(4, ok, f"(9,27) set exact-verified, peak {rep.peak} = q^(m+n+1) = 243")
@@ -144,12 +144,12 @@ def test_criterion_07_lemma1_equivalence():
 def test_criterion_08_kronecker():
     from ccckit.qary import identity_table
 
-    A = ck.build_theorem1(
+    A = ck.build_code_set(ck.theorem1_spec(
         2, 2, [identity_table(2)], [identity_table(2)], [constant_table(2)] * 2, (0, 1)
-    )
-    B = ck.build_theorem1(
+    ))
+    B = ck.build_code_set(ck.theorem1_spec(
         3, 2, [identity_table(3)], [identity_table(3)], [constant_table(3)] * 2, (0, 1)
-    )
+    ))
     assert ck.verify_ccc(A).is_ccc and ck.verify_ccc(B).is_ccc
     C = ck.kronecker_compose(A, B)
     rep = ck.verify_ccc(C, mode="exact")
@@ -165,13 +165,13 @@ def test_criterion_08_kronecker():
     g2 = [tuple(rng.randrange(3) for _ in range(3)) for _ in range(2)]
     lift = lambda t, p: tuple(t[u % p] for u in range(q))
     lift_g = lambda t, p: tuple((q // p) * t[u % p] % q for u in range(q))
-    C3 = ck.build_corollary3(
+    C3 = ck.build_code_set(ck.corollary3_spec(
         d, J=((), ()), pi=((0, 1), (2, 3)),
         chains=(((lift(f1, 2), lift(f1p, 2)),), ((lift(h1, 3), lift(h1p, 3)),)),
         gs=((lift_g(g1[0], 2), lift_g(g1[1], 2)), (lift_g(g2[0], 3), lift_g(g2[1], 3))),
-    )
-    B1 = ck.build_corollary1(2, 2, 0, (), (0, 1), [tuple(f1)], [tuple(f1p)], g1, None)
-    B2 = ck.build_corollary1(3, 2, 0, (), (0, 1), [tuple(h1)], [tuple(h1p)], g2, None)
+    ))
+    B1 = ck.build_code_set(ck.corollary1_spec(2, 2, 0, (), (0, 1), [tuple(f1)], [tuple(f1p)], g1, None))
+    B2 = ck.build_code_set(ck.corollary1_spec(3, 2, 0, (), (0, 1), [tuple(h1)], [tuple(h1p)], g2, None))
     order_ok = ck.kronecker_compose(B2, B1).same_codes(C3)
     ok = compose_ok and (C.K, C.L) == (6, 36) and order_ok
     report(8, ok, f"(2,4) x (3,9) -> (6,36) exact-verified (peak {rep.peak}); "

@@ -20,7 +20,7 @@ from ccckit.cli import load_code_set, main, spec_from_config
 from ccckit.construct import UNIFORM, CodeSet, ConfigError, exps_dtype, set_size
 from ccckit.qary import build_from_spec
 
-from conftest import oracle_digit_matrix, oracle_restriction_values, rand_perm_table, rand_table
+from conftest import oracle_digit_matrix, oracle_restriction_values, rand_perm_table, rand_table, run_python
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -379,6 +379,10 @@ BAD_CODE_SETS = {
     "codes_not_list": {"q": 2, "codes": {"0": [[0]]}},
     "sequence_not_list": {"q": 2, "codes": [[[0, 1], 5]]},
     "meta_not_object": {"q": 2, "meta": [1], "codes": [[[0, 1]]]},
+    "meta_empty_list": {"q": 2, "meta": [], "codes": [[[0, 1]]]},
+    "meta_false": {"q": 2, "meta": False, "codes": [[[0, 1]]]},
+    "meta_zero": {"q": 2, "meta": 0, "codes": [[[0, 1]]]},
+    "meta_empty_string": {"q": 2, "meta": "", "codes": [[[0, 1]]]},
     "top_level_list": [[[0, 1]]],
 }
 
@@ -421,6 +425,22 @@ def test_cli_build_refuses_sizes_beyond_memory(tmp_path, capsys):
     assert main(["build", str(cfg), "--out", str(tmp_path / "out.json")]) == 2
     assert "physical memory" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+# In a child capped at 2 GiB of address space, so a missing guard fails fast instead of exhausting the host.
+CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+              "from ccckit.cli import main; sys.exit(main())")
+
+
+@pytest.mark.parametrize("command", [["verify"], ["verify", "--mode", "float"], ["profile", "0", "0", "--out", "p.csv"]],
+                         ids=["exact", "float", "profile"])
+def test_huge_alphabets_are_refused_before_allocation(tmp_path, command):
+    path = tmp_path / "huge_q.json"
+    path.write_text(json.dumps({"q": 2**40, "codes": [[[0, 1]]]}))
+    proc = run_python("-c", CAPPED_CLI, command[0], path.name, *command[1:], timeout=60, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Z_1099511627776" in proc.stderr and "physical memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_kronecker_refuses_sizes_beyond_memory():

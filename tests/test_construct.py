@@ -16,13 +16,13 @@ from ccckit.qary import (
     identity_table,
 )
 
-from conftest import rand_perm_table, rand_table, rand_theorem2_spec
+from conftest import oracle_restriction_index, rand_perm_table, rand_table, rand_theorem2_spec
 
 
 def test_theorem1_reference_pair():
-    C = ck.build_theorem1(
+    C = ck.build_code_set(ck.theorem1_spec(
         2, 2, [identity_table(2)], [identity_table(2)], [constant_table(2)] * 2, (0, 1)
-    )
+    ))
     assert (C.K, C.M, C.L, C.q) == (2, 2, 4, 2)
     assert C.sequence(0, 0).entries == (0, 0, 0, 1)  # (+, +, +, -)
     assert C.sequence(0, 1).entries == (0, 1, 0, 0)  # (+, -, +, +)
@@ -32,9 +32,9 @@ def test_theorem1_reference_pair():
 
 def test_theorem1_rejects_non_permutation():
     with pytest.raises(SpecError, match=r"f\[0\]\[1\]"):
-        ck.build_theorem1(
+        ck.build_code_set(ck.theorem1_spec(
             4, 2, [constant_table(4)], [identity_table(4)], [constant_table(4)] * 2, (0, 1)
-        )
+        ))
 
 
 def test_corrupt_spec_bypasses_validation_and_flags():
@@ -62,10 +62,10 @@ def test_corollary1_n0_reduces_to_theorem1(rng):
     hp = [rand_perm_table(rng, q, q) for _ in range(m - 1)]
     g = [rand_table(rng, q) for _ in range(m)]
     pi = (2, 0, 1)
-    A = ck.build_theorem1(q, m, h, hp, g, pi)
+    A = ck.build_code_set(ck.theorem1_spec(q, m, h, hp, g, pi))
     # theorem1's g[j] acts on x_j; the restricted form's slot j acts on x_{pi(j)}
     g_slots = [g[pi[j]] for j in range(m)]
-    B = ck.build_corollary1(q, m, 0, J=(), pi=pi, h=h, hp=hp, g=g_slots, offsets=None)
+    B = ck.build_code_set(ck.corollary1_spec(q, m, 0, J=(), pi=pi, h=h, hp=hp, g=g_slots, offsets=None))
     assert A.same_codes(B)
 
 
@@ -168,11 +168,11 @@ def test_theorem_specs_match_their_former_bodies(theorem):
 
 def test_corollary1_4_8_verifies(rng):
     q, m, n = 2, 3, 1
-    C = ck.build_corollary1(
+    C = ck.build_code_set(ck.corollary1_spec(
         q, m, n, J=(2,), pi=(0, 1),
         h=[rand_perm_table(rng, q, q)], hp=[rand_perm_table(rng, q, q)],
         g=[rand_table(rng, q) for _ in range(2)],
-    )
+    ))
     assert (C.K, C.L) == (4, 8)
     report = ck.verify_ccc(C)
     assert report.is_ccc and report.peak == 32
@@ -185,10 +185,10 @@ def test_corollary1_default_offsets_follow_digit_formula(rng):
     )
     # restriction digits (c1, c2) pinned at positions (1, 2): offset = c1*q + c2 mod q = c2
     offsets = spec.func.offsets
-    from ccckit.qary import restriction_index, restriction_values
+    from ccckit.qary import restriction_values
 
     for c in restriction_values(spec.func.domain, (1, 2)):
-        idx = restriction_index(spec.func.domain, (1, 2), c)
+        idx = oracle_restriction_index(spec.func.domain, (1, 2), c)
         assert offsets[idx] == (c[0] * q + c[1]) % q
 
 
@@ -213,11 +213,11 @@ def test_corollary3_on_single_block_matches_corollary1_as_sets(rng):
     h = [rand_perm_table(rng, q, q)]
     hp = [rand_perm_table(rng, q, q)]
     g = [rand_table(rng, q) for _ in range(2)]
-    A = ck.build_corollary1(q, m, n, J=(2,), pi=(0, 1), h=h, hp=hp, g=g, offsets=None)
+    A = ck.build_code_set(ck.corollary1_spec(q, m, n, J=(2,), pi=(0, 1), h=h, hp=hp, g=g, offsets=None))
     d = ck.DomainSpec(((q, m),))
-    B = ck.build_corollary3(
+    B = ck.build_code_set(ck.corollary3_spec(
         d, J=((2,),), pi=((0, 1),), chains=((tuple(zip(h, hp))[0],),), gs=((g[0], g[1]),)
-    )
+    ))
 
     def canon(C):
         return sorted(
@@ -282,12 +282,12 @@ def test_digit_enumeration_bijective():
 
 
 def test_kronecker_2x4_with_3x9():
-    A = ck.build_theorem1(
+    A = ck.build_code_set(ck.theorem1_spec(
         2, 2, [identity_table(2)], [identity_table(2)], [constant_table(2)] * 2, (0, 1)
-    )
-    B = ck.build_theorem1(
+    ))
+    B = ck.build_code_set(ck.theorem1_spec(
         3, 2, [identity_table(3)], [identity_table(3)], [constant_table(3)] * 2, (0, 1)
-    )
+    ))
     C = ck.kronecker_compose(A, B)
     assert (C.K, C.M, C.L, C.q) == (6, 6, 36, 6)
     report = ck.verify_ccc(C)
@@ -318,16 +318,16 @@ def test_kronecker_lambda0_regression(rng):
     def lift_g(t, p):
         return tuple((q // p) * t[u % p] % q for u in range(q))
 
-    C3 = ck.build_corollary3(
+    C3 = ck.build_code_set(ck.corollary3_spec(
         d, J=((), ()), pi=((0, 1), (2, 3)),
         chains=(((lift_chain(f1, 2), lift_chain(f1p, 2)),),
                 ((lift_chain(h1, 3), lift_chain(h1p, 3)),)),
         gs=((lift_g(g1[0], 2), lift_g(g1[1], 2)), (lift_g(g2[0], 3), lift_g(g2[1], 3))),
-    )
-    B1 = ck.build_corollary1(2, 2, 0, J=(), pi=(0, 1), h=[tuple(f1)], hp=[tuple(f1p)],
-                             g=g1, offsets=None)
-    B2 = ck.build_corollary1(3, 2, 0, J=(), pi=(0, 1), h=[tuple(h1)], hp=[tuple(h1p)],
-                             g=g2, offsets=None)
+    ))
+    B1 = ck.build_code_set(ck.corollary1_spec(2, 2, 0, J=(), pi=(0, 1), h=[tuple(f1)], hp=[tuple(f1p)],
+                                              g=g1, offsets=None))
+    B2 = ck.build_code_set(ck.corollary1_spec(3, 2, 0, J=(), pi=(0, 1), h=[tuple(h1)], hp=[tuple(h1p)],
+                                              g=g2, offsets=None))
     composed = ck.kronecker_compose(B2, B1)  # block 2 is the slow factor
     assert composed.same_codes(C3)
     assert not ck.kronecker_compose(B1, B2).same_codes(C3)

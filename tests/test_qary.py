@@ -26,7 +26,6 @@ from ccckit.qary import (
     identity_table,
     is_permutation_mod,
     monomials_upto,
-    restriction_index,
     restriction_values,
 )
 
@@ -341,7 +340,7 @@ def test_restriction_digit_bound_error():
 
 
 def test_restriction_index_order():
-    """restriction_values and restriction_index agree with the itertools and per-block oracles."""
+    """restriction_values lists the classes in the order of the itertools and per-block oracles."""
     rng = np.random.default_rng(7)
     for blocks in [((2, 3), (3, 2)), ((4, 3),), ((6, 2),), ((2, 2), (3, 2), (5, 1)), ((3, 2), (5, 2)), ((2, 4),)]:
         d = DomainSpec(blocks)
@@ -350,7 +349,6 @@ def test_restriction_index_order():
                 J = tuple(rng.permutation(J).tolist())  # J listed in any order, across blocks
                 values = restriction_values(d, J)
                 assert values == oracle_restriction_values(d, J), (blocks, J)
-                assert [restriction_index(d, J, c) for c in values] == list(range(len(values))), (blocks, J)
                 assert [oracle_restriction_index(d, J, c) for c in values] == list(range(len(values))), (blocks, J)
 
 

@@ -1,6 +1,6 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API and
-the config keys; one integer counter, one exact zero test, one recount of a reported cell, one root table, one
-place-value map and a Gram by matmul."""
+the config keys; the CLI loads the worked example only for reproduce72; one integer counter, one exact zero
+test, one recount of a reported cell, one root table, one place-value map and a Gram by matmul."""
 
 import ast
 import fnmatch
@@ -8,6 +8,8 @@ import importlib.util
 import inspect
 import re
 from pathlib import Path
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -56,6 +58,12 @@ def test_readme_public_api_lists_the_exports():
         assert fnmatch.filter(exported, pattern), f"{pattern} matches no export"
     unlisted = [n for n in exported - listed if not any(fnmatch.fnmatchcase(n, g) for g in globs)]
     assert not unlisted, f"exported but not in the README: {sorted(unlisted)}"
+
+
+def test_cli_loads_example72_only_for_reproduce72():
+    """Importing the CLI leaves the bundled worked example unloaded; ``cmd_reproduce72`` imports it."""
+    proc = run_python("-c", "import ccckit.cli, sys; sys.exit('ccckit.example72' in sys.modules)", timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_readme_lists_the_config_keys():

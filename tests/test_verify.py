@@ -225,16 +225,16 @@ def test_gram_float_and_exact_agree(rng):
 def test_gram_polynomial_identity_matches_shiftwise():
     # C(z) C^dagger(1/z) entries, expanded by convolution, match the verifier's
     # shiftwise counts on every pair of a verified set
-    C = ck.build_theorem1(
+    C = ck.build_code_set(ck.theorem1_spec(
         3, 2, [identity_table(3)], [identity_table(3)], [constant_table(3)] * 2, (0, 1)
-    )
+    ))
     assert ck.verify_ccc(C).is_ccc
     for k1 in range(C.K):
         for k2 in range(C.K):
             conv = counts_via_convolution(C.code(k1), C.code(k2))
             prof = ck.correlation_profile(C.code(k1), C.code(k2))
             assert np.array_equal(conv, prof.counts)
-            flags = prof.zero_flags()
+            flags = zero_count_rows(prof.counts, C.q)
             center = C.L - 1
             if k1 == k2:
                 assert not flags[center]

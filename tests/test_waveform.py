@@ -25,7 +25,7 @@ def test_psi_matches_eta_and_is_full():
     f = example72.function()
     seq = psi(f)
     assert seq.q == 6
-    assert seq.is_full()
+    assert None not in seq.entries
     assert tuple(seq.entries) == example72.ETA_REFERENCE
     assert seq.support == tuple(range(72))
 
