@@ -63,17 +63,21 @@ def exps_dtype(q: int) -> np.dtype:
     return np.dtype(np.int64)
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where they cannot be read (no ``os.sysconf`` or no SC_PHYS_PAGES)."""
+    try:
+        return max(0, os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
 def _check_alloc(nbytes: int, what: str) -> None:
     """Refuse, before numpy allocates anything, a size beyond physical memory.
 
-    Where physical memory cannot be read (no ``os.sysconf`` or no
-    SC_PHYS_PAGES), nothing is refused.
+    Where physical memory cannot be read, nothing is refused.
     """
-    try:
-        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if limit > 0 and nbytes > limit:
+    limit = _physical_memory()
+    if limit and nbytes > limit:
         raise ConfigError(
             f"{what} needs about 2^{nbytes.bit_length() - 1} bytes, "
             f"more than the {limit >> 20} MiB of physical memory"

@@ -23,10 +23,12 @@ pass over the radix-8/4/2/3/5 passes its pocketfft runs, after Percival
 back to the integer shiftwise counts when it fails.  It works in tiles of
 code pairs: per chunk of sequences, one FFT call gives a block's spectra,
 bin-major, and one batched matmul over the bins the tile's Gram; a diagonal
-tile transforms its pairs a <= b only.  Its buffers fit one fixed budget,
-``TILE_BYTES``, and ``plan_tiles`` picks the tile shape of least modelled
-time within it.  Evaluated at the one character j = 1 against a magnitude
-threshold, it is also the advisory float check.
+tile transforms its pairs a <= b only.  Its buffers, inside which flagged
+cells are decoded, fit one budget that grows with the set,
+``tile_budget``: min(64 MiB, max(4 MiB, 16 K M L), physical memory / 8).
+``plan_tiles`` picks the tile shape of least modelled time within it.
+Evaluated at the one character j = 1 against a magnitude threshold, it is
+also the advisory float check.
 
 Shift convention: Theta(a,b)(tau) = sum_t a_t * conj(b_{t+tau}) over the t
 with 0 <= t, t + tau < L, for any tau in (-L, L).  ``pair_counts`` is the one
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .construct import _check_alloc
+from .construct import _check_alloc, _physical_memory
 from .mixed_radix import prime_divisors
 from .waveform import RootSequence, root_table
 
@@ -304,7 +306,6 @@ def correlation_profile(row1, row2) -> CorrelationProfile:
 # FFT every sequence, sum X_a conj(X_b) over the M sequences at every bin (a
 # batched matmul), inverse FFT.
 
-TILE_BYTES = 3 << 19  # fft_gram_cells' buffers (1.5 MiB), whatever the set size; decoding flagged cells comes on top
 UNIT_ROUNDOFF = 2.0**-53
 ROOT_ERROR = 16 * UNIT_ROUNDOFF  # |fl(exp(2 pi i r / q)) - exp(2 pi i r / q)|, r < q
 
@@ -327,13 +328,16 @@ def fft_length(L: int) -> int:
     return best
 
 
-@functools.lru_cache(maxsize=None)
-def character_units(q: int) -> tuple[int, ...]:
-    """The units j <= q/2 of Z_q, one per conjugate pair of embeddings of Z[zeta_q].
+def character_units(q: int) -> np.ndarray:
+    """The units j <= q/2 of Z_q, one per conjugate pair of embeddings of Z[zeta_q], as an int64 array.
 
-    (0,) at q = 1, where Z[zeta_1] = Z and the trivial character is the only one.
+    A sieve: every multiple of a prime divisor of q is struck from 0 .. q // 2.
+    [0] at q = 1, where Z[zeta_1] = Z and the trivial character is the only one.
     """
-    return tuple(j for j in range(q // 2 + 1) if math.gcd(j, q) == 1)
+    unit = np.ones(q // 2 + 1, dtype=bool)
+    for p in prime_divisors(q):
+        unit[::p] = False
+    return np.flatnonzero(unit).astype(np.int64, copy=False)
 
 
 def _gamma(n: int) -> float:
@@ -428,13 +432,27 @@ def fft_gram_bound(M: int, L: int) -> float:
     return theta_err
 
 
+def tile_budget(K: int, M: int, L: int) -> int:
+    """Bytes fft_gram_cells may hold for a (K, M, L) set: min(64 MiB, max(4 MiB, 16 K M L), physical memory / 8).
+
+    16 K M L, the set as complex entries, gives a long set wide tiles: each
+    block is transformed fewer times and BLAS gets larger Gram products.  A
+    small machine gets smaller tiles rather than a refusal; where physical
+    memory cannot be read, that term is left out.
+    """
+    budget = min(64 << 20, max(4 << 20, 16 * K * M * L))
+    memory = _physical_memory()
+    return min(budget, memory // 8) if memory else budget
+
+
 def tile_bytes(N: int, L: int, k: int, mc: int) -> int:
     """Working set of one character slot of fft_gram_cells under the plan (k, mc) at FFT length N.
 
     Two spectrum blocks (N, k, mc), the Gram (N, k, k) and one scratch of the
     same size (a Gram chunk, the upper triangle of a diagonal tile, or
     |Theta|), the int64 exponents j e mod q of one block (L, k, mc), and two
-    (N, k, k) flag arrays.
+    (N, k, k) flag arrays.  The decode of a tile's flagged cells runs in the
+    Gram, the scratch and one flag array, so nothing comes on top.
     """
     return 16 * N * (2 * k * mc + 2 * k * k) + 8 * L * k * mc + 2 * N * k * k
 
@@ -442,8 +460,8 @@ def tile_bytes(N: int, L: int, k: int, mc: int) -> int:
 def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     """(k, mc, bytes): codes per tile side, sequences per Gram chunk, working set of one character.
 
-    Among the plans within TILE_BYTES, the one of least modelled time per
-    character.  For each k two chunkings are weighed: the fewest chunks that
+    Among the plans within tile_budget(K, M, L), the one of least modelled time
+    per character.  For each k two chunkings are weighed: the fewest chunks that
     fit, with mc the least that gives as many, and mc = 1.  A set of M >= 3
     sequences takes two chunks at least, which keeps the roundings of each
     Gram product within fft_gram_bound's M + 2.  The model, in seconds on a
@@ -458,11 +476,12 @@ def plan_tiles(K: int, M: int, L: int) -> tuple[int, int, int]:
     (fft_gram_cells).
     """
     N = fft_length(L)
+    budget = tile_budget(K, M, L)
     fft = 1.2e-9 * N * max(N.bit_length() - 1, 1) + 10e-9 * L
     best = (math.inf, 1, 1)
     k = 1
-    while k <= K and tile_bytes(N, L, k, 1) <= TILE_BYTES:
-        room = TILE_BYTES - tile_bytes(N, L, k, 0)
+    while k <= K and tile_bytes(N, L, k, 1) <= budget:
+        room = budget - tile_bytes(N, L, k, 0)
         blocks = -(-K // k)
         tiles = blocks * (blocks + 1) // 2
         for chunks in (-(-M // min(M, room // (32 * N * k + 8 * L * k))), M):
@@ -542,16 +561,23 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     j = 1 against the threshold tol.
 
     Tiles of code pairs (a-block <= b-block) share preallocated buffers sized
-    by plan_tiles, for as many characters at once as TILE_BYTES holds (one at
+    by plan_tiles, for as many characters at once as tile_budget holds (one at
     least); _theta computes a tile's values.  One inverse FFT per pair gives
     tau >= 0 of (a, b) at bins N - tau and, through conjugation, tau >= 0 of
     (b, a) at bins tau, so a diagonal tile needs its pairs a <= b only.
+
+    A tile's flagged cells are decoded in its free buffers: the flags, ORed
+    over the characters, go into one flag array, and the keys of both
+    readings of every cell in the support, 2 L per pair, into the Gram as
+    int64 (their pair terms into the scratch), each set to K^2 L, beyond
+    every key, where its cell is not flagged, and sorted in place.  N >= L,
+    so they fit.
     """
     K, M, L = exps.shape
     N = fft_length(L)
-    js, threshold = (np.array(character_units(q)), 0.5) if tol is None else (np.array([1]), tol)
+    js, threshold = (character_units(q), 0.5) if tol is None else (np.array([1]), tol)
     k, mc, nbytes = plan_tiles(K, M, L)
-    J = max(1, min(js.size, TILE_BYTES // nbytes))  # characters per pass
+    J = max(1, min(js.size, tile_budget(K, M, L) // nbytes))  # characters per pass
     bufs = (
         np.empty(N * J * k * mc, complex),  # the spectra of the a-block
         np.empty(N * J * k * mc, complex),  # the conjugate spectra of the b-block
@@ -563,7 +589,9 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
     flag = np.empty(N * J * k * k, bool)
     bad = np.empty(N * J * k * k, bool)
     roots = root_table(q)  # q entries: one table serves every character
-    peak = M * L
+    peak, end = M * L, K * K * L
+    # tau of the decode rows: (a, b) at bins N - L + 1 .. N - 1, then 0; (b, a) at bins 0 .. L - 1
+    taus = np.stack([np.arange(L - 1, -1, -1), np.arange(L)])[:, :, None]
     total, kept = 0, np.empty(0, np.int64)
     for a0 in range(0, K, k):
         ka = min(k, K - a0)
@@ -585,20 +613,26 @@ def fft_gram_cells(exps: np.ndarray, mask, q: int, limit: int, tol: float | None
                 f = flag[: theta.size].reshape(theta.shape)
                 np.greater_equal(np.abs(theta, out=size), threshold, out=f)
                 nz[:, : part.size] |= f
-            n, c = np.nonzero(nz.any(axis=1))  # (bin, pair) of the flagged cells, sorted
-            if not n.size:
+            hit = np.any(nz, axis=1, out=flag[: N * cols].reshape(N, cols))  # (bin, pair) flagged
+            if not hit.any():
                 continue
-            if diagonal:
-                a, b = a0 + upper_a[c], a0 + upper_b[c]
-            else:
-                ai, bi = np.divmod(c, kb)
-                a, b = a0 + ai, b0 + bi
-            if ((n >= L) & (n <= N - L)).any():
+            if hit[L : N - L + 1].any():
                 raise ArithmeticError("fft-gram kernel: nonzero value beyond the correlation support")
-            fwd = (n == 0) | (n > N - L)  # (a, b) at tau = -n mod N
-            rev = (n < L) & (a != b)  # (b, a) at tau = n
-            keys = np.concatenate([(a[fwd] * K + b[fwd]) * L + (-n[fwd]) % N,
-                                   (b[rev] * K + a[rev]) * L + n[rev]])
-            total += keys.size
-            kept = np.sort(np.concatenate([kept, keys]))[:limit]
+            a, b = (upper_a, upper_b) if diagonal else np.divmod(np.arange(cols), kb)
+            a, b = a + a0, b + b0
+            keys = gram.view(np.int64)[: 2 * L * cols].reshape(2, L, cols)
+            pairs = scratch.view(np.int64)[: keys.size].reshape(keys.shape)
+            np.copyto(keys, taus)
+            np.copyto(pairs[0], (a * K + b) * L)  # (a, b) at tau = -bin mod N
+            np.copyto(pairs[1], np.where(a != b, (b * K + a) * L, end))  # (b, a) at tau = bin; (a, a) is read once
+            keys += pairs
+            miss = np.logical_not(hit, out=hit)
+            np.copyto(keys[0, :-1], end, where=miss[N - L + 1 :])
+            np.copyto(keys[0, -1], end, where=miss[0])
+            np.copyto(keys[1], end, where=miss[:L])
+            keys = keys.reshape(-1)
+            keys.sort()
+            n = int(np.searchsorted(keys, end))
+            total += n
+            kept = np.sort(np.concatenate([kept, keys[: min(n, limit)]]))[:limit]
     return total, kept

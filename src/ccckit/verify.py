@@ -13,15 +13,14 @@ nonzero cell has a nonzero integer norm, so one of its |Theta_j| is >= 1;
 the test is exact because the proven error bound ``fft_gram_bound`` on each
 |Theta_j| is checked to be below 1/2 before the kernel runs.  Float mode is
 the same loop with the character j = 1 and the threshold
-FLOAT_ZERO_FACTOR * M * L.  The kernel's buffers fit one fixed 1.5 MiB
-budget (``exact_corr.TILE_BYTES``), whatever the set size: tiles of code
-pairs whose spectra come from one FFT call a chunk and whose Gram is one
-batched matmul over the bins.  Decoding a tile's flagged cells is not in
-that budget: where nearly every cell is nonzero it takes about one plan
-more (2.57 MB traced against a 1.48 MB plan).  When the bound fails, the
-shiftwise loop runs instead: one integer bincount per shift and code, which
-counts that code against the whole set.  It is also the kernel's test
-oracle.
+FLOAT_ZERO_FACTOR * M * L.  The kernel works in tiles of code pairs whose
+spectra come from one FFT call a chunk and whose Gram is one batched matmul
+over the bins.  Its buffers, inside which a tile's flagged cells are
+decoded, fit ``exact_corr.tile_budget``: min(64 MiB, max(4 MiB, 16 K M L),
+physical memory / 8), so a set of up to 2^18 entries gets 4 MiB and a long
+set wide tiles.  When the bound fails, the shiftwise loop runs instead: one
+integer bincount per shift and code, which counts that code against the
+whole set.  It is also the kernel's test oracle.
 
 Both kernels hand over a flagged cell as its key (a K + b) L + tau, and one
 integer recount, ``_violation``, turns a key into a ``Violation``, so every

@@ -4,6 +4,7 @@ Every comparison uses a large ``max_violations`` so the full ordered list of
 violating cells, with their exact counts, must agree.
 """
 
+import math
 import resource
 import tracemalloc
 from unittest import mock
@@ -161,9 +162,9 @@ def test_trivial_set_runs_the_kernel():
 
 def test_small_tiles_cover_every_cell(monkeypatch):
     """A tiny budget forces edge tiles, off-diagonal tiles and chunked Gram sums."""
-    monkeypatch.setattr(exact_corr, "TILE_BYTES", 1)
+    monkeypatch.setattr(exact_corr, "tile_budget", lambda K, M, L: 1)
     assert exact_corr.plan_tiles(7, 5, 12)[:2] == (1, 1)
-    monkeypatch.setattr(exact_corr, "TILE_BYTES", 35_000)  # k = 4, mc = 3
+    monkeypatch.setattr(exact_corr, "tile_budget", lambda K, M, L: 35_000)  # k = 4, mc = 3
     k, mc, _ = exact_corr.plan_tiles(7, 5, 12)
     assert 1 < k < 7 and 7 % k and 1 < mc < 5
     rng = np.random.default_rng(11)
@@ -215,8 +216,15 @@ def test_first_character_alone_cannot_decide():
     counts[0, [0, 4, 7]] = 1
     assert not exact_corr.zero_count_rows(counts, 11)[0]
     values = np.abs(character_values(counts, 11))[0]
-    assert exact_corr.character_units(11) == (1, 2, 3, 4, 5)
+    assert exact_corr.character_units(11).tolist() == [1, 2, 3, 4, 5]
     assert abs(values[0] - 0.31) < 0.01 and values.max() >= 1
+
+
+def test_character_units_are_the_units_up_to_half():
+    for q in range(1, 1001):
+        units = exact_corr.character_units(q)
+        assert units.dtype == np.int64
+        assert units.tolist() == ([0] if q == 1 else [j for j in range(q // 2 + 1) if math.gcd(j, q) == 1]), q
 
 
 def test_bound_below_half_on_benchmark_sets():
@@ -304,18 +312,36 @@ def test_kernel_disagreeing_with_recount_raises(monkeypatch):
         ck.verify_ccc(C)
 
 
+# the six sets of the certify benchmark, then the lcm-323 product and three long sets
+CERTIFY_SHAPES = [(6, 6, 1296), (8, 8, 1024), (30, 30, 180), (12, 12, 72), (6, 6, 72), (9, 9, 243)]
+BUDGET_SHAPES = CERTIFY_SHAPES + [(17, 17, 289), (60, 60, 1800), (81, 81, 2187), (216, 216, 2592)]
+
+
 def test_tile_plan_stays_within_budget():
-    for K, M, L in [(216, 216, 2592), (60, 60, 1800), (30, 30, 180), (6, 6, 1296)]:
+    for K, M, L in BUDGET_SHAPES:
         k, mc, nbytes = exact_corr.plan_tiles(K, M, L)
         assert 1 <= k <= K and 1 <= mc <= M
-        assert nbytes <= exact_corr.TILE_BYTES
+        assert nbytes <= exact_corr.tile_budget(K, M, L), (K, M, L)
+    assert {exact_corr.tile_budget(*shape) for shape in CERTIFY_SHAPES} == {4 << 20}
+
+
+def test_tile_budget_follows_the_set_and_memory(monkeypatch):
+    """min(64 MiB, max(4 MiB, 16 K M L), physical memory / 8), the last term left out where memory is unknown."""
+    from ccckit import construct
+
+    assert exact_corr.tile_budget(30, 30, 1000) == 16 * 30 * 30 * 1000
+    assert exact_corr.tile_budget(60, 60, 1800) == exact_corr.tile_budget(216, 216, 2592) == 64 << 20
+    monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1 << 12}[name])
+    assert exact_corr.tile_budget(2, 2, 3) == exact_corr.tile_budget(60, 60, 1800) == 2 << 20  # 16 MiB of memory
+    assert exact_corr.plan_tiles(60, 60, 1800)[2] <= 2 << 20
+    monkeypatch.delattr(construct.os, "sysconf")
+    assert exact_corr.tile_budget(60, 60, 1800) == 64 << 20
 
 
 def test_plans_keep_gram_roundings_within_the_bound():
     """fft_gram_bound's Gram term allows M + 2 roundings a product: a matmul over mc sequences may take 2 mc
     in some BLAS order and the sum over the chunks c - 1 more, so every plan keeps 2 mc + c - 1 <= M + 2."""
-    for K, M, L in [(2, 2, 3), (6, 6, 72), (7, 5, 12), (30, 30, 180), (17, 17, 289), (3, 1, 5), (2, 3, 40),
-                    (60, 60, 1800), (216, 216, 2592)]:
+    for K, M, L in BUDGET_SHAPES + [(2, 2, 3), (7, 5, 12), (3, 1, 5), (2, 3, 40)]:
         k, mc, _ = exact_corr.plan_tiles(K, M, L)
         assert 2 * mc + -(-M // mc) - 1 <= M + 2, (K, M, L, k, mc)
 
@@ -327,19 +353,21 @@ def certify_q30_set():
 
 
 def test_kernel_memory_is_its_plan():
-    """The traced peak of one kernel call is the plan's working set: plan_tiles counts every buffer."""
-    C = certify_q30_set()
-    assert (C.K, C.M, C.L, C.q) == (30, 30, 180, 30)
-    plan = exact_corr.plan_tiles(C.K, C.M, C.L)[2]
-    exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)  # warm the caches of cyclotomic data
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        assert exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)[0] == 0
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert plan <= peak <= plan + (64 << 10)
+    """The traced peak of one kernel call is the plan's working set: plan_tiles counts every buffer, and a
+    set whose cells are nearly all nonzero decodes them inside those buffers."""
+    dense = ck.CodeSet(30, np.random.default_rng(30).integers(0, 30, size=(30, 30, 180)))
+    for C, nonzero in ((certify_q30_set(), 0), (dense, 161_970)):
+        assert (C.K, C.M, C.L, C.q) == (30, 30, 180, 30)
+        plan = exact_corr.plan_tiles(C.K, C.M, C.L)[2]
+        exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)  # warm the caches of cyclotomic data
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert exact_corr.fft_gram_cells(C.exps, C.mask, C.q, 16)[0] == nonzero
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert plan <= peak <= plan + (64 << 10), (nonzero, plan, peak)
 
 
 # forced plans (k, mc, one character a pass?): one code and one sequence per tile; edge tiles with a partial
@@ -354,7 +382,7 @@ def force_plan(monkeypatch, plan):
     def plan_tiles(K, M, L):
         k, mc, one = FORCED_PLANS[plan](K, M)
         nbytes = exact_corr.tile_bytes(exact_corr.fft_length(L), L, k, mc)
-        return k, mc, exact_corr.TILE_BYTES if one else nbytes
+        return k, mc, exact_corr.tile_budget(K, M, L) if one else nbytes
 
     monkeypatch.setattr(exact_corr, "plan_tiles", plan_tiles)
 
@@ -546,7 +574,7 @@ def test_float_mode_matches_oracle_at_q1():
 
 @pytest.mark.parametrize("budget", [1, 40_000])
 def test_float_mode_matches_oracle_on_small_tiles(monkeypatch, budget):
-    monkeypatch.setattr(exact_corr, "TILE_BYTES", budget)
+    monkeypatch.setattr(exact_corr, "tile_budget", lambda K, M, L: budget)
     rng = np.random.default_rng(budget)
     for q in (6, 30):
         C = ck.CodeSet(q, rng.integers(0, q, size=(7, 5, 12)))
