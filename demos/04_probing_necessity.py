@@ -1,9 +1,11 @@
 """The permutation requirement is necessary, not just sufficient.
 
 Chain tables that fail to permute {0..p-1} mod p cannot produce a complete
-complementary set.  Corrupting one table and probing shows the failure, and
-for constant corruptions (identity position order) the violation provably
-appears at a witness shift q^m - n * q^{m-i}, scanned first.
+complementary set.  Corrupting one table and probing shows the failure.  The
+probe reads from the spec which chain table does not permute, names it, and
+scans that chain pair's own witness shifts first, read through the position
+order pi; under the identity order they are q^m - n * q^{j+1} (chain j,
+0-based), and a constant corruption provably fails at the first, n = 1.
 """
 
 import random
@@ -29,7 +31,7 @@ print("\nwitness shift family for q=4, m=3:", witness_shifts(spec))
 for slot in (0, 1):
     bad = ck.corrupt_spec(spec, 0, slot, "f", constant_table(q))
     result = ck.necessity_probe(bad)
-    print(f"\nchain slot {slot + 1} constant -> {result.summary()}")
+    print(f"\nchain {slot} constant -> {result.summary()}")
     report = ck.verify_ccc(ck.build_code_set(bad), max_violations=4)
     print("  full verification:", report.summary())
     for v in report.violations:

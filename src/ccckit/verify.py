@@ -27,10 +27,16 @@ integer recount, ``_violation``, turns a key into a ``Violation``, so every
 reported cell is recounted with integers and a disagreement raises.
 
 ``necessity_probe`` drives the converse direction: specs whose chain tables
-were deliberately corrupted must fail, and for uniform-domain specs with a
-constant chain table the failure provably localizes at the witness shifts
-tau = q^m - n * q^{m-i}, which are scanned first, by the same integer scan
-as the shiftwise loop.  Every exact zero test here is ``zero_count_rows``.
+were deliberately corrupted must fail.  The spec says where to look: for each
+chain pair (block i, pair j) with a table that does not permute Z_{p_i}, the
+probe scans that pair's own witness shifts first, read through the ordering
+pi of each restriction class (under the identity ordering they are
+delta_i (p_i^{k_i} - n p_i^{j+1}), and a constant table provably fails at
+n = 1), then those shifts at the identity ordering, then n delta_i p_i^e with
+e the in-block position of the pair's second variable pi(j + 1), then the
+rest of ``witness_shifts``, and only then the full grid.  Each shift goes
+through the same integer scan as the shiftwise loop.  Every exact zero test
+here is ``zero_count_rows``.
 """
 
 from __future__ import annotations
@@ -175,8 +181,9 @@ def witness_shifts(cs: ConstructionSpec) -> list[int]:
 
     Per block i with p = p_i, free length k_i = m_i - n_i and stride delta_i:
     tau = delta_i * (p^{k_i} - n * p^{k_i - s}) for s = 1..k_i-1, n = 1..p-1.
-    Shift s probes chain slot k_i - s, so a constant table in slot j fires at
-    s = k_i - j (n = 1) and the scan below visits exactly that cell early.
+    Shift s probes chain index k_i - 1 - s (0-based, as ``corrupt_spec``
+    counts), so under the identity ordering a constant table in chain j fires
+    at s = k_i - 1 - j, n = 1: tau = delta_i * (p^{k_i} - p^{j+1}).
     """
     func = cs.func
     d = func.domain
@@ -191,6 +198,36 @@ def witness_shifts(cs: ConstructionSpec) -> list[int]:
     return out
 
 
+def _probe_order(cs: ConstructionSpec) -> tuple[tuple[int, ...], str]:
+    """The probe's shift order and the chain conditions the spec fails, joined by "; ".
+
+    Per chain pair (block i, pair j) with an f or f' that does not permute Z_p,
+    and per ordering pi of its restriction classes (in-block positions):
+    first the pair's family read through pi, delta (sum_{s > j} (p - 1) p^{pi(s)}
+    - (n - 1) p^{pi(j+1)}), whose n = 1 shift takes a point that is 0 at every
+    chain slot after j to one that is p - 1 there; under the identity ordering
+    it is the pair's ``witness_shifts`` entries delta (p^k - n p^{j+1}), which
+    come next.  Then n delta p^{pi(j+1)}, and last the rest of
+    ``witness_shifts``.  Every shift lies in (0, L) and none repeats.
+    """
+    func, d = cs.func, cs.func.domain
+    order, failed = [], []
+    classes = range(func.restriction_count())
+    for i, ((p, mi), ni, delta, start) in enumerate(zip(d.blocks, func.n, d.deltas, d.block_offsets)):
+        pis = [[e - start for e in pi] for pi in dict.fromkeys(func.pi_for(i, c) for c in classes)]
+        for j, pair in enumerate(func.chains[i]):
+            bad = [name for name, t in zip(("f", "fp"), pair) if not is_permutation_mod(t, p)]
+            if not bad:
+                continue
+            failed += [f"block {i}, chain {j}, {name} does not permute Z_{p}" for name in bad]
+            ns = range(1, p)
+            order += [delta * (sum((p - 1) * p**e for e in pi[j + 1:]) - (n - 1) * p ** pi[j + 1])
+                      for pi in pis for n in ns]
+            order += [delta * (p ** (mi - ni) - n * p ** (j + 1)) for n in ns]
+            order += [n * delta * p ** pi[j + 1] for pi in pis for n in ns]
+    return tuple(dict.fromkeys(order + witness_shifts(cs))), "; ".join(failed)
+
+
 @dataclass(frozen=True)
 class ProbeResult:
     found: bool
@@ -198,39 +235,43 @@ class ProbeResult:
     k1: int = -1
     k2: int = -1
     element: GroupRingElement | None = None
-    scanned_witness_shifts: tuple = ()
+    scanned_witness_shifts: tuple = ()  # the witness scan's shifts, in scan order
     used_full_scan: bool = False
+    condition: str = ""  # the chain tables that do not permute, e.g. "block 0, chain 1, f does not permute Z_3"
 
     def summary(self) -> str:
         if not self.found:
-            return "no violation found (corrupted spec still verifies -- unexpected)"
-        where = "witness scan" if not self.used_full_scan else "full scan"
-        return (
-            f"violation at shift {self.tau} between codes {self.k1} and {self.k2} "
-            f"({where}); |Theta| = {self.element.magnitude():.6g}"
-        )
+            text = "no violation found (corrupted spec still verifies -- unexpected)"
+        else:
+            where = "witness scan" if not self.used_full_scan else "full scan"
+            text = (
+                f"violation at shift {self.tau} between codes {self.k1} and {self.k2} "
+                f"({where}); |Theta| = {self.element.magnitude():.6g}"
+            )
+        return f"{text}; {self.condition}" if self.condition else text
 
 
 def necessity_probe(cs: ConstructionSpec) -> ProbeResult:
     """Hunt for the correlation violation a corrupted spec must produce.
 
-    Scans the witness shifts first (constant-table corruptions provably show
-    up there when the position ordering is the identity), then the whole
-    pair/shift grid.  Only flagged-corrupted specs are accepted: for
+    Scans the witness shifts in the order ``_probe_order`` takes from the
+    spec's failing chain tables (a constant table provably shows up at its
+    pair's first shift when the position ordering is the identity), then the
+    whole pair/shift grid.  Only flagged-corrupted specs are accepted: for
     valid specs the builders already guarantee the property.
     """
     if not cs.corrupted:
         raise ValueError("necessity_probe expects a spec flagged corrupted")
     C = build_code_set(cs)
-    taus = tuple(witness_shifts(cs))
+    taus, condition = _probe_order(cs)
     hits = [_violation(C, key) for key in _bad_keys(C, taus, 1)]
     full_scan = not hits
     if full_scan:
         hits = verify_ccc(C, max_violations=1).violations
     if not hits:
-        return ProbeResult(found=False, scanned_witness_shifts=taus)
+        return ProbeResult(found=False, scanned_witness_shifts=taus, condition=condition)
     v = hits[0]
-    return ProbeResult(True, v.tau, v.k1, v.k2, v.element, taus, full_scan)
+    return ProbeResult(True, v.tau, v.k1, v.k2, v.element, taus, full_scan, condition)
 
 
 # ---------------------------------------------------------------------------

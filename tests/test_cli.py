@@ -143,7 +143,9 @@ def test_probe_subcommand(tmp_path, capsys):
         },
     )
     assert main(["probe", cfg]) == 0
-    assert "shift 48" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert out.startswith("violation at shift 48 ")
+    assert out.rstrip().endswith("; block 0, chain 1, f does not permute Z_4")
     cfg2 = write(tmp_path / "ok.json", {"kind": "theorem1", "q": 4, "m": 3})
     assert main(["probe", cfg2]) == 2  # no corrupt stanza is a usage error
 

@@ -12,7 +12,14 @@ from ccckit.exact_corr import is_zero_exact, zero_count_rows
 from ccckit.qary import constant_table, identity_table
 from ccckit.verify import character_sums, witness_shifts
 
-from conftest import counts_via_convolution, rand_nonperm_table, rand_theorem1_spec, rand_theorem2_spec
+from conftest import (
+    counts_via_convolution,
+    rand_nonperm_table,
+    rand_perm_table,
+    rand_table,
+    rand_theorem1_spec,
+    rand_theorem2_spec,
+)
 
 
 def test_trivial_code_set_verifies():
@@ -95,6 +102,65 @@ def test_necessity_probe_rejects_valid_spec(rng):
         ck.necessity_probe(rand_theorem1_spec(rng, 3, 2))
 
 
+@pytest.mark.parametrize("q", (2, 3, 4, 5))
+@pytest.mark.parametrize("m", (2, 3, 4))
+def test_constant_corruption_hits_at_its_first_shift(q, m, rng):
+    """Under the identity ordering a constant table in chain j fails at q^m - q^{j+1}, the first shift scanned."""
+    spec = rand_theorem1_spec(rng, q, m, identity_pi=True)
+    for chain, which in itertools.product(range(m - 1), ("f", "fp")):
+        bad = ck.corrupt_spec(spec, 0, chain, which, constant_table(q, rng.randrange(q)))
+        result = ck.necessity_probe(bad)
+        assert result.found and not result.used_full_scan, (chain, which)
+        assert result.tau == result.scanned_witness_shifts[0] == q**m - q ** (chain + 1), (chain, which)
+        assert result.condition == f"block 0, chain {chain}, {which} does not permute Z_{q}"
+        assert_probe_cell_recounts(bad, result)
+
+
+def test_constant_corruption_needs_no_full_scan_under_any_ordering(rng):
+    """theorem1 under every ordering pi, and corollary1 with one pi per restriction class."""
+    specs = [
+        ck.theorem1_spec(q, m, [rand_perm_table(rng, q, q) for _ in range(m - 1)],
+                         [rand_perm_table(rng, q, q) for _ in range(m - 1)], [rand_table(rng, q) for _ in range(m)], pi)
+        for q, m in ((2, 4), (3, 3), (4, 3), (6, 3)) for pi in itertools.permutations(range(m))
+    ]
+    specs.append(spec_from_config({"kind": "corollary1", "q": 3, "m": 4, "n": 1,
+                                   "pi": {"0": [2, 0, 1], "1": [1, 2, 0], "2": [0, 2, 1]}}))
+    for spec in specs:
+        q, pairs = spec.func.domain.q, spec.func.chains[0]
+        for chain, which in itertools.product(range(len(pairs)), ("f", "fp")):
+            result = ck.necessity_probe(ck.corrupt_spec(spec, 0, chain, which, constant_table(q, rng.randrange(q))))
+            assert result.found and not result.used_full_scan, (spec.func.pis, chain, which)
+
+
+def test_probe_order_follows_the_failing_pair():
+    spec = ck.theorem1_spec(3, 3, [identity_table(3)] * 2, [identity_table(3)] * 2, [constant_table(3)] * 3, (2, 0, 1))
+    result = ck.necessity_probe(ck.corrupt_spec(spec, 0, 0, "fp", constant_table(3, 1)))
+    # chain 0 read through pi: 2 (3^0 + 3^1) - (n - 1) 3^0; then 27 - 3n; then n 3^pi(1); then the rest
+    assert result.scanned_witness_shifts == (8, 7, 24, 21, 1, 2, 18, 9)
+    assert witness_shifts(spec) == [18, 9, 24, 21]
+
+
+def test_probe_order_holds_the_family_once_inside_the_set(rng):
+    specs = [
+        rand_theorem1_spec(rng, 4, 3),
+        rand_theorem2_spec(rng, 2, 3, 3, 2),
+        spec_from_config({"kind": "corollary1", "q": 2, "m": 4, "n": 1, "pi": {"0": [0, 1, 2], "1": [2, 0, 1]}}),
+        spec_from_config({"kind": "corollary3", "blocks": [{"p": 2, "m": 3}, {"p": 3, "m": 2}], "n": [1, 0]}),
+    ]
+    for spec in specs:
+        L = spec.func.domain.L
+        for block, pairs in enumerate(spec.func.chains):
+            p = spec.func.domain.blocks[block][0]
+            for chain, which in itertools.product(range(len(pairs)), ("f", "fp")):
+                bad = ck.corrupt_spec(spec, block, chain, which, rand_nonperm_table(rng, spec.func.domain.q, p))
+                result = ck.necessity_probe(bad)
+                taus = result.scanned_witness_shifts
+                assert result.found and set(witness_shifts(spec)) <= set(taus), (block, chain, which)
+                assert len(set(taus)) == len(taus) and all(0 < tau < L for tau in taus)
+                assert result.condition == f"block {block}, chain {chain}, {which} does not permute Z_{p}"
+                assert_probe_cell_recounts(bad, result)
+
+
 def test_necessity_randomized_uniform_suite(rng):
     # randomized corruptions (non-constant too) must always be refuted
     for q in (2, 3, 4, 5, 6):
@@ -167,9 +233,10 @@ def test_ccc_iff_every_chain_table_permutes():
     """The paper's iff on every single-slot table: a CCC exactly when the table permutes Z_p.
 
     Every non-permutation is also refuted by necessity_probe.  The specs use
-    seeded (not identity) orderings, so some refutations need the full scan.
+    seeded (not identity) orderings; the spec-driven witness scan still finds
+    every refutation without the full scan.
     """
-    seen = refuted = 0
+    seen = refuted = full_scans = 0
     for base, block, chain, which, table, p in single_slot_tables():
         permutes = ck.is_permutation_mod(table, p)
         spec = with_table(base, block, chain, which, table) if permutes else ck.corrupt_spec(
@@ -179,9 +246,11 @@ def test_ccc_iff_every_chain_table_permutes():
             result = ck.necessity_probe(spec)
             assert result.found and not is_zero_exact(result.element), (block, chain, which, table)
             refuted += 1
+            full_scans += result.used_full_scan
         seen += 1
     # permutations per slot: 3! of 3^3, 4! of 4^4, 2! 3 of 6^2 and 3! 2^3 of 6^3
     assert (seen, refuted) == (4 * 27 + 4 * 256 + 36 + 216, 4 * (27 - 6) + 4 * (256 - 24) + (36 - 18) + (216 - 48))
+    assert full_scans == 0
 
 
 def test_lemma1_equivalence_exhaustive():
