@@ -17,7 +17,7 @@ Tables are length-q integer lists; per-restriction values may be given as
 "which": "f", "table": [...]}) flags the spec for the necessity probe.
 
 Exit codes: 0 success (verify: is a CCC; probe: violation found),
-1 verification/probe failure, 2 usage or config errors.
+1 verification/probe failure, 2 usage or config errors and running out of memory.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def spec_from_config(cfg: dict, seed: int | None = None) -> ConstructionSpec:
         if "table" in corrupt:
             table = _ints(corrupt["table"])
         else:
-            table = [_int(corrupt["constant"])] * spec.func.domain.q
+            table = [_int(corrupt["constant"])] * spec.domain.q
         spec = corrupt_spec(
             spec,
             _int(corrupt.get("block", 0)),
@@ -387,6 +387,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except KeyError as exc:  # only a config lookup raises it under main
         print(f"error: missing config key {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory in {args.command}", file=sys.stderr)
         return 2
     except (
         OSError,

@@ -13,8 +13,9 @@ of M sequences by adding seed-and-shift linear terms, one exponent table per
   first, matching t = t_1 + sum_b t_b prod_{a<b} p_a^{n_a+1} with
   t_u = sum_v t_{u,v} p_u^{v-1}.
 
-Chain tables must permute {0..p_i-1} mod p_i; builders reject offenders with
-the failing index.  Necessity experiments bypass the check only through
+Chain tables must permute {0..p_i-1} mod p_i; ``build_code_set`` rejects the
+first table in ``chain_failures``, named as "block 0, chain 1, fp does not
+permute Z_2".  Necessity experiments bypass the check only through
 ``corrupt_spec``, which flags the spec so the origin of a failed verification
 is never ambiguous.
 """
@@ -118,7 +119,8 @@ class CodeSet:
 
     exps has shape (K, M, L), stored read-only in ``exps_dtype(q)``; mask is
     None for all-defined sequences or a boolean array of the same shape
-    (False marks a literal zero entry).
+    (False marks a literal zero entry).  Exponents of any dtype but an integer
+    one (float, bool, object) and a mask of any dtype but bool raise ValueError.
     """
 
     q: int
@@ -129,7 +131,7 @@ class CodeSet:
     def __post_init__(self):
         exps = np.asarray(self.exps)
         if exps.dtype.kind not in "iu":
-            exps = exps.astype(np.int64)
+            raise ValueError(f"exponents must have an integer dtype, got {exps.dtype}")
         if exps.ndim != 3:
             raise ValueError("exps must have shape (K, M, L)")
         if exps.size and (exps.min() < 0 or exps.max() >= self.q):
@@ -138,7 +140,9 @@ class CodeSet:
         exps.setflags(write=False)
         object.__setattr__(self, "exps", exps)
         if self.mask is not None:
-            mask = np.asarray(self.mask, dtype=bool)
+            mask = np.asarray(self.mask)
+            if mask.dtype != bool:
+                raise ValueError(f"mask must have dtype bool, got {mask.dtype}")
             if mask.shape != exps.shape:
                 raise ValueError("mask shape must match exps")
             if mask.all():
@@ -238,6 +242,7 @@ class CodeSet:
             mask = np.not_equal(exps, None) if holes else None
             if holes:
                 exps[~mask] = 0
+                exps = exps.astype(np.int64)
             return CodeSet(q, exps, mask, meta)
         except (OverflowError, ValueError):  # beyond the storage dtype, or outside [0, q)
             raise ConfigError(f"exponents must lie in [0, {q})") from None
@@ -413,22 +418,18 @@ def trivial_code_set() -> CodeSet:
 # construction specs
 
 
-@dataclass(frozen=True)
-class ConstructionSpec:
-    """A structured function plus the index-enumeration convention to use."""
+@dataclass(frozen=True, kw_only=True)
+class ConstructionSpec(GeneralizedQuadraticSpec):
+    """A structured function plus ``kind``, the index-enumeration convention to use: uniform or mixed."""
 
     kind: str
-    func: GeneralizedQuadraticSpec
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in (UNIFORM, MIXED):
             raise SpecError(f"unknown construction kind {self.kind!r}")
-        if self.kind == UNIFORM and self.func.domain.k != 1:
+        if self.kind == UNIFORM and self.domain.k != 1:
             raise SpecError("uniform constructions need a single-block domain")
-
-    @property
-    def corrupted(self) -> bool:
-        return self.func.corrupted
 
 
 def _default_uniform_offsets(d: DomainSpec, J) -> dict:
@@ -460,10 +461,11 @@ def corollary1_spec(q: int, m: int, n: int, J, pi, h, hp, g, offsets="auto") -> 
     """Uniform-domain spec with n restricted variables.
 
     J: the n restricted positions (0-based, order pairs with the t/d digits);
-    pi: ordering of the m-n free positions, shared or per restriction index;
-    g: m-n tables applied through pi (slot j acts on x_{pi(j)}), shared or per
-    restriction.  offsets: "auto" applies c = sum c_i q^{n-i}; a dict gives
-    explicit per-restriction constants; None means all zero.
+    pi: ordering of the m-n free positions, shared or a dict keyed by
+    restriction class; g: m-n tables applied through pi (slot j acts on
+    x_{pi(j)}), shared or per class.  The spec stores both per class.
+    offsets: "auto" applies c = sum c_i q^{n-i}; a dict gives explicit
+    per-restriction constants; None means all zero.
     """
     d = DomainSpec(((q, m),))
     J = tuple(int(j) for j in J)
@@ -471,16 +473,9 @@ def corollary1_spec(q: int, m: int, n: int, J, pi, h, hp, g, offsets="auto") -> 
         raise SpecError(f"|J| = {len(J)} != n = {n}")
     if offsets == "auto":
         offsets = _default_uniform_offsets(d, J)
-    func = GeneralizedQuadraticSpec(
-        domain=d,
-        J=(J,),
-        pis=(pi,),
-        chains=(tuple(zip(h, hp)),),
-        gs=(tuple(check_table(t, q) for t in g) if not isinstance(g, dict) else g,),
-        couplings=(),
-        offsets=offsets,
+    return ConstructionSpec(
+        domain=d, J=(J,), pis=(pi,), chains=(tuple(zip(h, hp)),), gs=(g,), offsets=offsets, kind=UNIFORM
     )
-    return ConstructionSpec(UNIFORM, func)
 
 
 def theorem2_spec(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam) -> ConstructionSpec:
@@ -510,16 +505,10 @@ def corollary3_spec(
     if couplings is None:
         zero = (0,) * domain.q
         couplings = tuple((0, zero, zero) for _ in range(domain.k - 1))
-    func = GeneralizedQuadraticSpec(
-        domain=domain,
-        J=tuple(tuple(Ji) for Ji in J),
-        pis=tuple(pi),
-        chains=tuple(tuple(ch) for ch in chains),
-        gs=tuple(gs),
-        couplings=tuple(couplings),
-        offsets=offsets,
+    return ConstructionSpec(
+        domain=domain, J=tuple(tuple(Ji) for Ji in J), pis=tuple(pi), chains=tuple(tuple(ch) for ch in chains),
+        gs=tuple(gs), couplings=tuple(couplings), offsets=offsets, kind=MIXED,
     )
-    return ConstructionSpec(MIXED, func)
 
 
 def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, replacement) -> ConstructionSpec:
@@ -529,23 +518,21 @@ def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, repla
     block's chain list (0-based).  Refuses replacements that still permute
     {0..p-1} mod p: those would not corrupt anything.
     """
-    func = cs.func
-    if not (0 <= block < func.domain.k and 0 <= chain < len(func.chains[block])):
+    if not (0 <= block < cs.domain.k and 0 <= chain < len(cs.chains[block])):
         raise ConfigError(f"no chain {chain} in block {block} of this spec")
-    p = func.domain.blocks[block][0]
-    replacement = check_table(replacement, func.domain.q)
+    p = cs.domain.blocks[block][0]
+    replacement = check_table(replacement, cs.domain.q)
     if is_permutation_mod(replacement, p):
         raise SpecError("replacement table still permutes; not a corruption")
     if which not in ("f", "fp"):
         raise SpecError("which must be 'f' or 'fp'")
-    pairs = list(func.chains[block])
+    pairs = list(cs.chains[block])
     old_f, old_fp = pairs[chain]
     pairs[chain] = (replacement, old_fp) if which == "f" else (old_f, replacement)
-    chains = list(func.chains)
+    chains = list(cs.chains)
     chains[block] = tuple(pairs)
     note = f"block {block} chain {chain} {which} replaced by non-permutation"
-    corrupted = replace(func, chains=tuple(chains), corrupted=True, corruption_note=note)
-    return ConstructionSpec(cs.kind, corrupted)
+    return replace(cs, chains=tuple(chains), corrupted=True, corruption_note=note)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +541,7 @@ def corrupt_spec(cs: ConstructionSpec, block: int, chain: int, which: str, repla
 
 def set_size(cs: ConstructionSpec) -> int:
     """K = prod p_i^{n_i+1}; q^{n+1} on a uniform domain, its one block being (q, m)."""
-    return prod(p ** (ni + 1) for (p, _), ni in zip(cs.func.domain.blocks, cs.func.n))
+    return prod(p ** (ni + 1) for (p, _), ni in zip(cs.domain.blocks, cs.n))
 
 
 def seed_digits(cs: ConstructionSpec) -> list[np.ndarray]:
@@ -564,9 +551,8 @@ def seed_digits(cs: ConstructionSpec) -> list[np.ndarray]:
     weights the chain slots.  Uniform: base-q digits, most significant first.
     Mixed: per block (block 1 fastest), base-p_i digits least significant first.
     """
-    func = cs.func
     # the indices 0..K-1 are the points of the domain prod_i Z_{p_i}^{n_i + 1}
-    seed = DomainSpec(tuple((p, ni + 1) for (p, _), ni in zip(func.domain.blocks, func.n)))
+    seed = DomainSpec(tuple((p, ni + 1) for (p, _), ni in zip(cs.domain.blocks, cs.n)))
     digits = place_digits(np.arange(seed.L), seed.radix_per_position, seed.weights)
     if cs.kind == UNIFORM:
         return [digits[:, ::-1]]
@@ -583,21 +569,20 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     The terms split into T[t] (base, t's part) and D[d] (d's part), so the
     tensor is one broadcast T[:, None] + D[None] of residues, reduced once.
     """
-    func = cs.func
-    if not func.corrupted:
-        func.validate_chains()
-    d = func.domain
+    if not cs.corrupted:
+        cs.validate_chains()
+    d = cs.domain
     q, L, K = d.q, d.L, set_size(cs)
     work = exps_dtype(2 * q - 1)  # holds T + D <= 2q - 2
     _check_alloc(_tensor_bytes(K * K * L, q, work) + 8 * L * (d.m + 2 * K), f"a ({K}, {L}) code set over Z_{q}")
     digits = digit_matrix(d)
-    classes = func.restriction_classes()
-    slot_digits = func.slot_digits(classes)
-    T = np.broadcast_to(build_from_spec(func, classes, slot_digits).table, (K, L)).copy()
+    classes = cs.restriction_classes()
+    slot_digits = cs.slot_digits(classes)
+    T = np.broadcast_to(build_from_spec(cs, classes, slot_digits).table, (K, L)).copy()
     D = np.zeros((K, L), dtype=np.int64)
     for i, (S, slots) in enumerate(zip(seed_digits(cs), slot_digits)):
-        w = func.chain_weight(i)
-        restricted = S[:, :-1] @ digits[:, list(func.J[i])].T
+        w = cs.chain_weight(i)
+        restricted = S[:, :-1] @ digits[:, list(cs.J[i])].T
         T += w * (restricted + S[:, -1:] * slots[:, -1])
         D += w * (restricted + S[:, -1:] * slots[:, 0])
     exps = np.empty((K, K, L), dtype=work)
@@ -606,11 +591,11 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     meta = {
         "kind": cs.kind,
         "blocks": [list(b) for b in d.blocks],
-        "n": list(func.n),
-        "corrupted": func.corrupted,
+        "n": list(cs.n),
+        "corrupted": cs.corrupted,
     }
-    if func.corrupted:
-        meta["corruption"] = func.corruption_note
+    if cs.corrupted:
+        meta["corruption"] = cs.corruption_note
     return CodeSet(q, exps, meta=meta)
 
 

@@ -128,7 +128,7 @@ def reproduce() -> list[tuple[str, bool, str]]:
     from .qary import build_from_spec
 
     spec = construction_spec()
-    g = build_from_spec(spec.func)
+    g = build_from_spec(spec)
     checks.append(
         (
             "structured-spec-matches-monomials",

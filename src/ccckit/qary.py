@@ -257,13 +257,6 @@ def restrict(f: QaryFunction, J, c) -> RestrictedFunction:
 # ---------------------------------------------------------------------------
 # structured (generalized quadratic) functions
 
-def _per_restriction(value, idx: int):
-    """Fetch a per-restriction entry: dicts are keyed by restriction class, its index in restriction_values."""
-    if isinstance(value, dict):
-        return value[idx]
-    return value
-
-
 @dataclass(frozen=True)
 class GeneralizedQuadraticSpec:
     """Structured description of a function whose restrictions are quadratic chains.
@@ -272,13 +265,16 @@ class GeneralizedQuadraticSpec:
 
     * ``J[i]``       -- restricted flat positions inside the block, n_i <= m_i - 1;
     * ``pis[i]``     -- ordering of the m_i - n_i unrestricted positions used by the
-                        chain; either one shared tuple or a dict restriction -> tuple;
+                        chain, per restriction class;
     * ``chains[i]``  -- m_i - n_i - 1 pairs (f, f') of length-q tables; the product
                         term f(x_a) f'(x_b) enters with weight q / p_i;
     * ``gs[i]``      -- m_i - n_i length-q tables applied to the ordered positions,
-                        shared or per restriction.
+                        per restriction class.
 
-    ``couplings`` holds k - 1 triples (lam, f, h): lam * f(last position of block i)
+    ``pis[i]`` and ``gs[i]`` may be given shared (one value for every class) or
+    as a dict keyed by every restriction class, its index in restriction_values;
+    either way they are stored as that dict, in class order.  ``couplings``
+    holds k - 1 triples (lam, f, h): lam * f(last position of block i)
     * h(first position of block i+1).  ``offsets`` maps restriction index -> Z_q
     constant (missing entries are 0).  ``corrupted`` marks a spec whose chain
     tables intentionally fail the permutation requirement; constructors only
@@ -308,15 +304,6 @@ class GeneralizedQuadraticSpec:
                 raise SpecError(f"J[{i}]={Ji} must be distinct positions of block {i}")
             if len(Ji) > d.blocks[i][1] - 1:
                 raise SpecError(f"|J[{i}]| = {len(Ji)} exceeds m_{i} - 1 = {d.blocks[i][1] - 1}")
-        pis = []
-        for i, entry in enumerate(self.pis):
-            free = set(d.block_positions(i)) - set(J[i])
-            if isinstance(entry, dict):
-                checked = {int(cidx): self._check_pi(entry[cidx], free, i) for cidx in entry}
-                pis.append(checked)
-            else:
-                pis.append(self._check_pi(entry, free, i))
-        object.__setattr__(self, "pis", tuple(pis))
         chains = []
         for i, pairs in enumerate(self.chains):
             want = d.blocks[i][1] - len(J[i]) - 1
@@ -325,15 +312,19 @@ class GeneralizedQuadraticSpec:
                 raise SpecError(f"block {i} needs {want} chain pairs, got {len(pairs)}")
             chains.append(pairs)
         object.__setattr__(self, "chains", tuple(chains))
-        gs = []
-        for i, entry in enumerate(self.gs):
-            want = d.blocks[i][1] - len(J[i])
-            if isinstance(entry, dict):
-                entry = {int(cidx): self._check_gs(entry[cidx], want, q, i) for cidx in entry}
-            else:
-                entry = self._check_gs(entry, want, q, i)
-            gs.append(entry)
-        object.__setattr__(self, "gs", tuple(gs))
+        # per-class entries: a shared value goes to every class, a dict must key every class and no other
+        classes = set(range(self.restriction_count()))
+        for name, check in (("pis", self._check_pi), ("gs", self._check_gs)):
+            stored = []
+            for i, entry in enumerate(getattr(self, name)):
+                shared = not isinstance(entry, dict)
+                entry = dict.fromkeys(classes, entry) if shared else {int(c): v for c, v in entry.items()}
+                if classes - set(entry):
+                    raise SpecError(f"{name}[{i}] misses restriction classes {sorted(classes - set(entry))}")
+                if set(entry) - classes:
+                    raise SpecError(f"{name}[{i}] carries unknown restriction classes {sorted(set(entry) - classes)}")
+                stored.append({c: check(entry[c], i) for c in sorted(classes)})
+            object.__setattr__(self, name, tuple(stored))
         couplings = tuple(
             (int(lam) % q, check_table(f, q), check_table(h, q)) for lam, f, h in self.couplings
         )
@@ -344,29 +335,19 @@ class GeneralizedQuadraticSpec:
             raise SpecError(f"offsets must be a mapping or None, got {type(self.offsets).__name__}")
         offsets = {int(k): int(v) % q for k, v in (self.offsets or {}).items()}
         object.__setattr__(self, "offsets", offsets)
-        # per-restriction dicts must key every restriction class and no other
-        classes = set(range(self.restriction_count()))
-        for name, per_block in (("pis", self.pis), ("gs", self.gs)):
-            for i, entry in enumerate(per_block):
-                if isinstance(entry, dict) and set(entry) != classes:
-                    if classes - set(entry):
-                        raise SpecError(f"{name}[{i}] misses restriction classes {sorted(classes - set(entry))}")
-                    raise SpecError(f"{name}[{i}] carries unknown restriction classes {sorted(set(entry) - classes)}")
         if not set(offsets) <= classes:
             raise SpecError("offsets carry unknown restriction classes")
 
-    @staticmethod
-    def _check_pi(pi, free: set, block: int) -> tuple[int, ...]:
+    def _check_pi(self, pi, block: int) -> tuple[int, ...]:
+        free = set(self.domain.block_positions(block)) - set(self.J[block])
         pi = tuple(int(j) for j in pi)
         if set(pi) != free or len(pi) != len(free):
-            raise SpecError(
-                f"pi for block {block} must order the unrestricted positions {sorted(free)}, got {pi}"
-            )
+            raise SpecError(f"pi for block {block} must order the unrestricted positions {sorted(free)}, got {pi}")
         return pi
 
-    @staticmethod
-    def _check_gs(tables, want: int, q: int, block: int):
-        tables = tuple(check_table(t, q) for t in tables)
+    def _check_gs(self, tables, block: int) -> tuple[tuple[int, ...], ...]:
+        want = self.domain.blocks[block][1] - len(self.J[block])
+        tables = tuple(check_table(t, self.domain.q) for t in tables)
         if len(tables) != want:
             raise SpecError(f"block {block} needs {want} per-variable tables, got {len(tables)}")
         return tables
@@ -401,10 +382,10 @@ class GeneralizedQuadraticSpec:
         return out
 
     def pi_for(self, block: int, cidx: int) -> tuple[int, ...]:
-        return _per_restriction(self.pis[block], cidx)
+        return self.pis[block][cidx]
 
     def gs_for(self, block: int, cidx: int):
-        return _per_restriction(self.gs[block], cidx)
+        return self.gs[block][cidx]
 
     def offset_for(self, cidx: int) -> int:
         return self.offsets.get(cidx, 0)
@@ -412,14 +393,29 @@ class GeneralizedQuadraticSpec:
     def chain_weight(self, block: int) -> int:
         return self.domain.q // self.domain.blocks[block][0]
 
+    def chain_failures(self) -> list[tuple[int, int, str, int]]:
+        """(block i, chain j, "f" or "fp", p_i) of every chain table that does not permute {0..p_i-1} mod p_i.
+
+        Listed by block, then chain, f before fp; the spec meets the paper's
+        condition exactly when the list is empty.
+        """
+        return [
+            (i, j, which, p)
+            for i, ((p, _), pairs) in enumerate(zip(self.domain.blocks, self.chains))
+            for j, pair in enumerate(pairs)
+            for which, table in zip(("f", "fp"), pair)
+            if not is_permutation_mod(table, p)
+        ]
+
     def validate_chains(self):
-        """Raise unless every chain table permutes {0..p_i-1} mod p_i."""
-        for i, pairs in enumerate(self.chains):
-            p = self.domain.blocks[i][0]
-            for j, pair in enumerate(pairs):
-                for name, table in zip(("f", "f'"), pair):
-                    if not is_permutation_mod(table, p):
-                        raise SpecError(f"chain table {name}[{i}][{j + 1}] does not permute Z_{p} under mod {p}")
+        """Raise on the first of ``chain_failures``, e.g. "block 0, chain 1, fp does not permute Z_2"."""
+        for failure in self.chain_failures()[:1]:
+            raise SpecError(chain_failure_text(*failure))
+
+
+def chain_failure_text(block: int, chain: int, which: str, p: int) -> str:
+    """The words for a ``chain_failures`` entry, in the builder's error and the probe's condition alike."""
+    return f"block {block}, chain {chain}, {which} does not permute Z_{p}"
 
 
 def build_from_spec(s: GeneralizedQuadraticSpec, classes=None, slots=None) -> QaryFunction:

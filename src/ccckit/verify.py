@@ -55,7 +55,7 @@ from .exact_corr import (
     zero_count_rows,
 )
 from .mixed_radix import place_digits
-from .qary import is_permutation_mod
+from .qary import chain_failure_text, is_permutation_mod
 
 FLOAT_ZERO_FACTOR = 1e-9  # float mode calls |Theta| < factor * M * L "zero"
 
@@ -185,10 +185,9 @@ def witness_shifts(cs: ConstructionSpec) -> list[int]:
     counts), so under the identity ordering a constant table in chain j fires
     at s = k_i - 1 - j, n = 1: tau = delta_i * (p^{k_i} - p^{j+1}).
     """
-    func = cs.func
-    d = func.domain
+    d = cs.domain
     out: list[int] = []
-    for i, ((p, _), ni, delta) in enumerate(zip(d.blocks, func.n, d.deltas)):
+    for i, ((p, _), ni, delta) in enumerate(zip(d.blocks, cs.n, d.deltas)):
         k_i = d.blocks[i][1] - ni
         for s in range(1, k_i):
             for n in range(1, p):
@@ -201,8 +200,8 @@ def witness_shifts(cs: ConstructionSpec) -> list[int]:
 def _probe_order(cs: ConstructionSpec) -> tuple[tuple[int, ...], str]:
     """The probe's shift order and the chain conditions the spec fails, joined by "; ".
 
-    Per chain pair (block i, pair j) with an f or f' that does not permute Z_p,
-    and per ordering pi of its restriction classes (in-block positions):
+    Per chain pair (block i, pair j) with an entry in ``chain_failures``, and
+    per ordering pi of its restriction classes (in-block positions, in class order):
     first the pair's family read through pi, delta (sum_{s > j} (p - 1) p^{pi(s)}
     - (n - 1) p^{pi(j+1)}), whose n = 1 shift takes a point that is 0 at every
     chain slot after j to one that is p - 1 there; under the identity ordering
@@ -210,22 +209,17 @@ def _probe_order(cs: ConstructionSpec) -> tuple[tuple[int, ...], str]:
     come next.  Then n delta p^{pi(j+1)}, and last the rest of
     ``witness_shifts``.  Every shift lies in (0, L) and none repeats.
     """
-    func, d = cs.func, cs.func.domain
-    order, failed = [], []
-    classes = range(func.restriction_count())
-    for i, ((p, mi), ni, delta, start) in enumerate(zip(d.blocks, func.n, d.deltas, d.block_offsets)):
-        pis = [[e - start for e in pi] for pi in dict.fromkeys(func.pi_for(i, c) for c in classes)]
-        for j, pair in enumerate(func.chains[i]):
-            bad = [name for name, t in zip(("f", "fp"), pair) if not is_permutation_mod(t, p)]
-            if not bad:
-                continue
-            failed += [f"block {i}, chain {j}, {name} does not permute Z_{p}" for name in bad]
-            ns = range(1, p)
-            order += [delta * (sum((p - 1) * p**e for e in pi[j + 1:]) - (n - 1) * p ** pi[j + 1])
-                      for pi in pis for n in ns]
-            order += [delta * (p ** (mi - ni) - n * p ** (j + 1)) for n in ns]
-            order += [n * delta * p ** pi[j + 1] for pi in pis for n in ns]
-    return tuple(dict.fromkeys(order + witness_shifts(cs))), "; ".join(failed)
+    d, failures, classes = cs.domain, cs.chain_failures(), range(cs.restriction_count())
+    order = []
+    for i, j in dict.fromkeys((i, j) for i, j, *_ in failures):
+        (p, mi), ni, delta, start = d.blocks[i], cs.n[i], d.deltas[i], d.block_offsets[i]
+        pis = [[e - start for e in pi] for pi in dict.fromkeys(cs.pi_for(i, c) for c in classes)]
+        ns = range(1, p)
+        order += [delta * (sum((p - 1) * p**e for e in pi[j + 1:]) - (n - 1) * p ** pi[j + 1])
+                  for pi in pis for n in ns]
+        order += [delta * (p ** (mi - ni) - n * p ** (j + 1)) for n in ns]
+        order += [n * delta * p ** pi[j + 1] for pi in pis for n in ns]
+    return tuple(dict.fromkeys(order + witness_shifts(cs))), "; ".join(chain_failure_text(*f) for f in failures)
 
 
 @dataclass(frozen=True)

@@ -44,23 +44,22 @@ def _mixed_digits(value, func):
 
 def oracle_build(cs):
     """(K, K, L) int64 exponents, one (t, d) row at a time."""
-    func = cs.func
-    d = func.domain
+    d = cs.domain
     q = d.q
-    base = build_from_spec(func).table.astype(np.int64)
+    base = build_from_spec(cs).table.astype(np.int64)
     digits = oracle_digit_matrix(d)
     K = set_size(cs)
     classes = []
-    for cidx, c in enumerate(oracle_restriction_values(d, func.flat_J)):
+    for cidx, c in enumerate(oracle_restriction_values(d, cs.flat_J)):
         mask = np.ones(d.L, dtype=bool)
-        for j, cj in zip(func.flat_J, c):
+        for j, cj in zip(cs.flat_J, c):
             mask &= digits[:, j] == cj
-        classes.append((np.flatnonzero(mask), [func.pi_for(i, cidx) for i in range(d.k)]))
+        classes.append((np.flatnonzero(mask), [cs.pi_for(i, cidx) for i in range(d.k)]))
 
     def seed(value):
         if cs.kind == UNIFORM:
-            return (_uniform_digits(value, q, func.n[0] + 1),)
-        return _mixed_digits(value, func)
+            return (_uniform_digits(value, q, cs.n[0] + 1),)
+        return _mixed_digits(value, cs)
 
     exps = np.zeros((K, K, d.L), dtype=np.int64)
     for t in range(K):
@@ -69,8 +68,8 @@ def oracle_build(cs):
             ddig = seed(dd)
             row = base.copy()
             for i in range(d.k):
-                w = func.chain_weight(i)
-                for v, j in enumerate(func.J[i]):
+                w = cs.chain_weight(i)
+                for v, j in enumerate(cs.J[i]):
                     row = row + w * (ddig[i][v] + tdig[i][v]) * digits[:, j]
                 for idx, pis in classes:
                     first, last = pis[i][0], pis[i][-1]

@@ -150,6 +150,28 @@ def test_probe_subcommand(tmp_path, capsys):
     assert main(["probe", cfg2]) == 2  # no corrupt stanza is a usage error
 
 
+# one corollary1 config over Z_3^4 with J = [3], its per-class orderings given with keys in class order and not
+PI_BY_CLASS = {"0": [2, 1, 0], "1": [1, 0, 2], "2": [0, 1, 2]}
+
+
+@pytest.mark.parametrize("command", ["build", "probe"])
+def test_per_class_key_order_does_not_matter(tmp_path, capsys, command):
+    """A block's orderings are read in class order whatever the order of the config's keys: the probe scans
+    the same shifts and the build writes the same bytes."""
+    outputs = []
+    for keys in ("012", "201"):
+        cfg = {"kind": "corollary1", "q": 3, "m": 4, "n": 1, "seed": 7, "pi": {k: PI_BY_CLASS[k] for k in keys}}
+        if command == "probe":
+            cfg["corrupt"] = {"block": 0, "chain": 1, "which": "fp", "constant": 1}
+        out = tmp_path / f"codes{keys}.json"
+        flags = ["--out", str(out)] if command == "build" else []
+        assert main([command, write(tmp_path / "cfg.json", cfg), *flags]) == 0
+        outputs.append(capsys.readouterr().out if command == "probe" else out.read_bytes())
+    assert outputs[0] == outputs[1]
+    if command == "probe":
+        assert outputs[0].startswith("violation at shift 2 between codes 0 and 0 (witness scan)")
+
+
 def test_kronecker_config(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -191,7 +213,7 @@ def test_spec_from_config_mixed_defaults():
         {"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "n": [1, 0]}
     )
     assert spec.kind == "mixed"
-    assert spec.func.J == ((1,), ())  # defaults to the last n_i positions
+    assert spec.J == ((1,), ())  # defaults to the last n_i positions
     C = ck.build_code_set(spec)
     assert (C.K, C.L) == (12, 36)
     assert ck.verify_ccc(C).is_ccc
@@ -308,6 +330,18 @@ def test_build_refuses_text_beyond_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(construct.os, "sysconf", lambda name: {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 600_000}[name])
     assert main(["build", cfg, "--out", str(out)]) == 0
     assert ck.CodeSet.loads(out.read_bytes()).K == 17
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    """A MemoryError ends the run with one line on stderr and exit 2, not a traceback."""
+    from ccckit import cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_ccc", out_of_memory)
+    assert main(["verify", write(tmp_path / "codes.json", {"q": 2, "codes": [[[0, 1]]]})]) == 2
+    assert capsys.readouterr() == ("", "error: out of memory in verify\n")
 
 
 @pytest.mark.parametrize("command", ["build", "probe", "verify"])

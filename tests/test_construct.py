@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -8,7 +9,6 @@ from ccckit import example72
 from ccckit.cli import spec_from_config
 from ccckit.construct import CodeSet, seed_digits, set_size
 from ccckit.qary import (
-    GeneralizedQuadraticSpec,
     MonomialForm,
     SpecError,
     check_table,
@@ -31,7 +31,7 @@ def test_theorem1_reference_pair():
 
 
 def test_theorem1_rejects_non_permutation():
-    with pytest.raises(SpecError, match=r"f\[0\]\[1\]"):
+    with pytest.raises(SpecError, match="^block 0, chain 0, f does not permute Z_4$"):
         ck.build_code_set(ck.theorem1_spec(
             4, 2, [constant_table(4)], [identity_table(4)], [constant_table(4)] * 2, (0, 1)
         ))
@@ -46,6 +46,15 @@ def test_corrupt_spec_bypasses_validation_and_flags():
     C = ck.build_code_set(bad)
     assert C.meta["corrupted"]
     assert not ck.verify_ccc(C).is_ccc
+
+
+def test_construction_kind_is_checked():
+    spec = rand_theorem2_spec(random.Random(0), 2, 3, 2, 2)
+    with pytest.raises(SpecError, match="uniform constructions need a single-block domain"):
+        dataclasses.replace(spec, kind="uniform")
+    with pytest.raises(SpecError, match="unknown construction kind 'diagonal'"):
+        dataclasses.replace(spec, kind="diagonal")
+    assert dataclasses.replace(spec, kind="mixed") == spec
 
 
 def test_corrupt_spec_rejects_permutation_replacement():
@@ -84,8 +93,7 @@ def _theorem1_before(q, m, h, hp, g, pi):
     if len(g) != m:
         raise SpecError(f"need m={m} per-variable tables, got {len(g)}")
     gs = tuple(g[pi[j]] for j in range(m))
-    func = GeneralizedQuadraticSpec(d, ((),), (pi,), (tuple(zip(h, hp)),), (gs,), (), None)
-    return ck.ConstructionSpec("uniform", func)
+    return ck.ConstructionSpec(domain=d, J=((),), pis=(pi,), chains=(tuple(zip(h, hp)),), gs=(gs,), kind="uniform")
 
 
 def _theorem2_before(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam):
@@ -100,8 +108,9 @@ def _theorem2_before(p1, p2, m1, m2, pi, pip, f, fp, h, hp, g, gp, f0, h0, lam):
     gs1 = tuple(g[pi[j]] for j in range(m1))
     gs2 = tuple(gp[pip[j] - m1] for j in range(m2))
     chains = (tuple(zip(f, fp)), tuple(zip(h, hp)))
-    func = GeneralizedQuadraticSpec(d, ((), ()), (pi, pip), chains, (gs1, gs2), ((lam, f0, h0),), None)
-    return ck.ConstructionSpec("mixed", func)
+    return ck.ConstructionSpec(
+        domain=d, J=((), ()), pis=(pi, pip), chains=chains, gs=(gs1, gs2), couplings=((lam, f0, h0),), kind="mixed"
+    )
 
 
 def _spoil(rng, args: dict, key: str, q: int):
@@ -159,7 +168,7 @@ def test_theorem_specs_match_their_former_bodies(theorem):
         got, want = _outcome(new, args), _outcome(old, args)
         if isinstance(want, ck.ConstructionSpec):
             assert isinstance(got, ck.ConstructionSpec), (args, got)
-            assert (got.kind, got.func) == (want.kind, want.func)
+            assert got == want
         else:
             assert got == (SpecError if want is IndexError else want), (args, got, want)
         outcomes.add(want if isinstance(want, type) else "spec")
@@ -184,11 +193,11 @@ def test_corollary1_default_offsets_follow_digit_formula(rng):
         q, m, n, J=(1, 2), pi=(0,), h=[], hp=[], g=[rand_table(rng, q)]
     )
     # restriction digits (c1, c2) pinned at positions (1, 2): offset = c1*q + c2 mod q = c2
-    offsets = spec.func.offsets
+    offsets = spec.offsets
     from ccckit.qary import restriction_values
 
-    for c in restriction_values(spec.func.domain, (1, 2)):
-        idx = oracle_restriction_index(spec.func.domain, (1, 2), c)
+    for c in restriction_values(spec.domain, (1, 2)):
+        idx = oracle_restriction_index(spec.domain, (1, 2), c)
         assert offsets[idx] == (c[0] * q + c[1]) % q
 
 
@@ -348,6 +357,20 @@ def test_codeset_json_roundtrip():
     again = CodeSet.from_json(masked.to_json())
     assert again.same_codes(masked)
     assert again.to_json()["codes"][0][0] == [0, None, 2]
+
+
+@pytest.mark.parametrize("exps, mask, message", [
+    (np.array([[[1.7, 2.9]]]), None, "integer dtype, got float64"),
+    ([[[0.7]]], None, "integer dtype, got float64"),
+    (np.array([[[True, False]]]), None, "integer dtype, got bool"),
+    (np.array([[[1, 2]]], dtype=object), None, "integer dtype, got object"),
+    ([[[1, 2]]], [[[2, 0.5]]], "dtype bool, got float64"),
+    ([[[1, 2]]], [[[1, 0]]], "dtype bool, got int64"),
+], ids=["float", "float_list", "bool", "object", "float_mask", "int_mask"])
+def test_codeset_refuses_non_integer_exponents_and_non_boolean_masks(exps, mask, message):
+    """Nothing is cast: 1.7 would be stored as 1, and a mask of 2 and 0.5 would read as all-defined."""
+    with pytest.raises(ValueError, match=message):
+        CodeSet(3, exps, mask)
 
 
 def test_codeset_from_json_consistency_check():

@@ -125,7 +125,7 @@ def test_is_permutation_mod():
 
 
 def test_build_from_spec_matches_monomials_on_example():
-    f = build_from_spec(example72.construction_spec().func)
+    f = build_from_spec(example72.construction_spec())
     assert np.array_equal(f.table, example72.function().table)
 
 
@@ -270,11 +270,11 @@ def test_per_restriction_dict_coverage():
 
 @pytest.mark.parametrize("offsets", ["x", [1], (0, 1), 3])
 def test_offsets_must_be_a_mapping(offsets):
-    func = example72.construction_spec().func
+    spec = example72.construction_spec()
     with pytest.raises(SpecError, match="offsets must be a mapping"):
-        dataclasses.replace(func, offsets=offsets)
+        dataclasses.replace(spec, offsets=offsets)
     for ok in (None, {}, {0: 7}):
-        assert dataclasses.replace(func, offsets=ok).offsets == ({0: 7 % func.domain.q} if ok else {})
+        assert dataclasses.replace(spec, offsets=ok).offsets == ({0: 7 % spec.domain.q} if ok else {})
 
 
 def test_validate_chains_reports_offender():
@@ -289,7 +289,8 @@ def test_validate_chains_reports_offender():
         gs=((zero, zero, zero), (zero, zero)),
         couplings=((0, zero, zero),),
     )
-    with pytest.raises(SpecError, match=r"f'\[0\]\[2\]"):
+    assert spec.chain_failures() == [(0, 1, "fp", 2)]
+    with pytest.raises(SpecError, match="^block 0, chain 1, fp does not permute Z_2$"):
         spec.validate_chains()
 
 

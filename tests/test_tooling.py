@@ -1,6 +1,7 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API and
 the config keys; the CLI loads the worked example only for reproduce72; one integer counter, one exact zero
-test, one recount of a reported cell, one root table, one place-value map and a Gram by matmul."""
+test, one recount of a reported cell, one root table, one place-value map, a Gram by matmul, one spec object
+and one check of the chain condition."""
 
 import ast
 import fnmatch
@@ -141,3 +142,17 @@ def test_gram_by_matmul():
     """The fft-gram kernel sums its Gram with one batched matmul per tile and chunk; nothing in src calls einsum."""
     assert _calls("einsum") == []
     assert ("exact_corr", "_theta") in _calls("matmul")
+
+
+def test_one_spec_object_and_one_chain_check():
+    """The chain condition is evaluated in GeneralizedQuadraticSpec.chain_failures; corrupt_spec tests its
+    replacement and lemma1_equiv_check tests the permutation side of the lemma.  A ConstructionSpec is the spec,
+    so nothing in src reads a ``func`` attribute but the CLI's subcommand, and per-class fields are read by
+    indexing, not through a shared-or-dict helper."""
+    assert {where for _, where in _calls("is_permutation_mod")} == {
+        "chain_failures", "corrupt_spec", "lemma1_equiv_check"}
+    reads = [(path.stem, ast.unparse(node)) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr == "func"]
+    assert reads == [("cli", "args.func")]
+    assert not [path.name for path in SRC.glob("*.py") if re.search(r"\b_per_restriction\b", path.read_text())]

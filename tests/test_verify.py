@@ -126,10 +126,10 @@ def test_constant_corruption_needs_no_full_scan_under_any_ordering(rng):
     specs.append(spec_from_config({"kind": "corollary1", "q": 3, "m": 4, "n": 1,
                                    "pi": {"0": [2, 0, 1], "1": [1, 2, 0], "2": [0, 2, 1]}}))
     for spec in specs:
-        q, pairs = spec.func.domain.q, spec.func.chains[0]
+        q, pairs = spec.domain.q, spec.chains[0]
         for chain, which in itertools.product(range(len(pairs)), ("f", "fp")):
             result = ck.necessity_probe(ck.corrupt_spec(spec, 0, chain, which, constant_table(q, rng.randrange(q))))
-            assert result.found and not result.used_full_scan, (spec.func.pis, chain, which)
+            assert result.found and not result.used_full_scan, (spec.pis, chain, which)
 
 
 def test_probe_order_follows_the_failing_pair():
@@ -148,11 +148,11 @@ def test_probe_order_holds_the_family_once_inside_the_set(rng):
         spec_from_config({"kind": "corollary3", "blocks": [{"p": 2, "m": 3}, {"p": 3, "m": 2}], "n": [1, 0]}),
     ]
     for spec in specs:
-        L = spec.func.domain.L
-        for block, pairs in enumerate(spec.func.chains):
-            p = spec.func.domain.blocks[block][0]
+        L = spec.domain.L
+        for block, pairs in enumerate(spec.chains):
+            p = spec.domain.blocks[block][0]
             for chain, which in itertools.product(range(len(pairs)), ("f", "fp")):
-                bad = ck.corrupt_spec(spec, block, chain, which, rand_nonperm_table(rng, spec.func.domain.q, p))
+                bad = ck.corrupt_spec(spec, block, chain, which, rand_nonperm_table(rng, spec.domain.q, p))
                 result = ck.necessity_probe(bad)
                 taus = result.scanned_witness_shifts
                 assert result.found and set(witness_shifts(spec)) <= set(taus), (block, chain, which)
@@ -202,10 +202,10 @@ def test_sufficiency_randomized_mixed_suite(rng):
 
 def with_table(cs, block, chain, which, table):
     """cs with one chain table swapped, not flagged corrupted: the valid counterpart of corrupt_spec."""
-    chains = [list(pairs) for pairs in cs.func.chains]
+    chains = [list(pairs) for pairs in cs.chains]
     f, fp = chains[block][chain]
     chains[block][chain] = (table, fp) if which == "f" else (f, table)
-    return ck.ConstructionSpec(cs.kind, replace(cs.func, chains=tuple(map(tuple, chains))))
+    return replace(cs, chains=tuple(map(tuple, chains)))
 
 
 def single_slot_tables():
@@ -222,9 +222,9 @@ def single_slot_tables():
                 yield base, 0, chain, which, table, q
     base = spec_from_config({"kind": "corollary3", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}], "n": [0, 0],
                              "seed": 1})
-    q = base.func.domain.q
-    for block, (p, _) in enumerate(base.func.domain.blocks):
-        rest = base.func.chains[block][0][0][p:]
+    q = base.domain.q
+    for block, (p, _) in enumerate(base.domain.blocks):
+        rest = base.chains[block][0][0][p:]
         for head in itertools.product(range(q), repeat=p):
             yield base, block, 0, "f", head + rest, p
 
@@ -232,7 +232,8 @@ def single_slot_tables():
 def test_ccc_iff_every_chain_table_permutes():
     """The paper's iff on every single-slot table: a CCC exactly when the table permutes Z_p.
 
-    Every non-permutation is also refuted by necessity_probe.  The specs use
+    chain_failures names the table exactly when it does not permute.  Every
+    non-permutation is also refuted by necessity_probe.  The specs use
     seeded (not identity) orderings; the spec-driven witness scan still finds
     every refutation without the full scan.
     """
@@ -242,6 +243,7 @@ def test_ccc_iff_every_chain_table_permutes():
         spec = with_table(base, block, chain, which, table) if permutes else ck.corrupt_spec(
             base, block, chain, which, table)
         assert ck.verify_ccc(ck.build_code_set(spec), max_violations=0).is_ccc == permutes, (block, chain, which, table)
+        assert spec.chain_failures() == ([] if permutes else [(block, chain, which, p)]), (block, chain, which, table)
         if not permutes:
             result = ck.necessity_probe(spec)
             assert result.found and not is_zero_exact(result.element), (block, chain, which, table)
