@@ -113,6 +113,11 @@ def _tensor_bytes(entries: int, q: int, work: np.dtype) -> int:
 _canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
+def _pair(token: str) -> np.uint16:
+    """Two bytes of ASCII text as one little-endian uint16, the unit of the one-digit writer."""
+    return np.uint16(int.from_bytes(token.encode(), "little"))
+
+
 @dataclass(frozen=True)
 class CodeSet:
     """K codes of M sequences, length L, exponents mod q.
@@ -250,45 +255,32 @@ class CodeSet:
     def dumps(self) -> str:
         """Canonical JSON: ``json.dumps(to_json(), sort_keys=True, separators=(",", ":"))`` plus a newline.
 
-        The codes are written from the array through a table of tokens: id v is
-        the text of value v then ",", id v + n the same then "]" (a sequence's
-        last entry), and two more ids open the first and a later sequence of a
-        code.  Table rows are NUL-padded to one width; the padding is dropped.
-        Each code's text is decoded on its own and all parts are joined once,
-        which keeps peak memory near two copies of the payload.  Two copies of
-        its upper bound beyond physical memory are refused before any part is
-        built (``ConfigError``).
+        The text is written into one byte buffer, sized by its upper bound,
+        and decoded once: by ``_write_digits`` where every token is one digit
+        (q <= 10, no holes), by ``_write_tokens`` otherwise.  Peak memory is
+        the buffer and the string.  Two copies of the bound beyond physical
+        memory are refused before the buffer is allocated (``ConfigError``).
         """
         K, M, L = self.exps.shape
-        parts = [f'{{"K":{K},"L":{L},"M":{M},"codes":']
-        tail = f',"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n'
+        head = f'{{"K":{K},"L":{L},"M":{M},"codes":['
+        tail = f'],"meta":{_canonical(self.meta)},"q":{_canonical(self.q)}}}\n'
         widest = max(len(str(self.q - 1)), 0 if self.mask is None else len("null"))
-        text = (widest + 1) * K * M * L + 2 * K * M + 2 * K + 2 + len(parts[0]) + len(tail)
+        text = (widest + 1) * K * M * L + 2 * K * M + 2 * K + len(head) + len(tail)
         _check_alloc(2 * text, f"the canonical text of a ({K}, {L}) code set over Z_{self.q}")
         if not self.exps.size:
-            parts.append(_canonical(self.exps.tolist()))
+            return head[:-1] + _canonical(self.exps.tolist()) + tail[1:]
+        pad = len(head) % 2  # codes start at an even offset, where the two-byte tokens are aligned
+        buf = np.empty(pad + text, dtype=np.uint8)
+        view = memoryview(buf)
+        pos = pad + len(head)
+        view[pad:pos] = head.encode()
+        if self.mask is None and self.q <= 10:
+            pos = _write_digits(buf, pos, self.exps)
         else:
-            if self.exps.dtype == np.int64:  # q > 65536: tokens for the values present only
-                values, ids = np.unique(self.exps, return_inverse=True)
-                ids = ids.reshape(self.exps.shape)
-            else:
-                values, ids = range(self.q), self.exps
-            tokens = [str(v) for v in values] + ([] if self.mask is None else ["null"])
-            n = len(tokens)
-            table = np.array([t + "," for t in tokens] + [t + "]" for t in tokens] + ["[[", ",["], "S")
-            row = np.empty((M, L + 1), dtype=np.intp)
-            row[:, 0] = 2 * n + 1
-            row[0, 0] = 2 * n
-            parts.append("[")
-            for k in range(K):
-                row[:, 1:] = ids[k]
-                if self.mask is not None:  # set in intp: n - 1 = q does not fit the storage dtype
-                    row[:, 1:][~self.mask[k]] = n - 1
-                row[:, -1] += n
-                parts += [table[row].tobytes().replace(b"\0", b"").decode(), "],"]
-            parts[-1] = "]]"
-        parts.append(tail)
-        return "".join(parts)
+            pos = _write_tokens(buf, pos, self.exps, self.mask, self.q)
+        pos -= 1  # the "," after the last code: the tail's "]" closes the list instead
+        view[pos : pos + len(tail)] = tail.encode()
+        return str(view[pad : pos + len(tail)], "ascii")
 
     @staticmethod
     def loads(data: bytes) -> "CodeSet":
@@ -303,7 +295,63 @@ class CodeSet:
         return CodeSet.from_json(json.loads(io.TextIOWrapper(io.BytesIO(data)).read()))
 
 
-_SCAN_BYTES = 1 << 16  # the scanner's chunk budget; a chunk holds at least one whole code
+def _write_digits(buf: np.ndarray, pos: int, exps: np.ndarray) -> int:
+    """Write the codes of exps (K, M, L), every value one digit, into buf at pos; the end of the "," after them.
+
+    Each code and the "," after it are two-byte tokens: "[[", then per
+    sequence the digit and "," of each entry but the last, the digit and
+    "]" of the last, and ",[" (or "]," after the code's last sequence).
+    pos must be even, so that the tokens are aligned.
+    """
+    K, M, L = exps.shape
+    size = 2 + M * (2 * L + 2)
+    codes = buf[pos : pos + K * size].view("<u2").reshape(K, size // 2)
+    seqs = codes[:, 1:].reshape(K, M, L + 1)
+    codes[:, 0] = _pair("[[")
+    seqs[:, :, L] = _pair(",[")
+    seqs[:, -1, L] = _pair("],")
+    c = max(1, _SCAN_BYTES // size)  # codes a step: each step's operands stay in cache
+    for k in range(0, K, c):
+        np.add(exps[k : k + c, :, :-1], _pair("0,"), out=seqs[k : k + c, :, : L - 1])
+        np.add(exps[k : k + c, :, -1], _pair("0]"), out=seqs[k : k + c, :, L - 1])
+    return pos + K * size
+
+
+def _write_tokens(buf: np.ndarray, pos: int, exps: np.ndarray, mask: np.ndarray | None, q: int) -> int:
+    """Write the codes of exps (K, M, L) and its holes into buf at pos; the end of the "," after them.
+
+    Each code goes through a table of tokens: id v is the text of value v
+    then ",", id v + n the same then "]" (a sequence's last entry), and two
+    more ids open the first and a later sequence of a code.  Table rows are
+    NUL-padded to one width; the padding is dropped.  The temporaries are
+    one code's, and they are freed on return.
+    """
+    K, M, L = exps.shape
+    if exps.dtype == np.int64:  # q > 65536: tokens for the values present only
+        values, ids = np.unique(exps, return_inverse=True)
+        ids = ids.reshape(exps.shape)
+    else:
+        values, ids = range(q), exps
+    tokens = [str(v) for v in values] + ([] if mask is None else ["null"])
+    n = len(tokens)
+    table = np.array([t + "," for t in tokens] + [t + "]" for t in tokens] + ["[[", ",["], "S")
+    row = np.empty((M, L + 1), dtype=np.intp)
+    row[:, 0] = 2 * n + 1
+    row[0, 0] = 2 * n
+    view = memoryview(buf)
+    for k in range(K):
+        row[:, 1:] = ids[k]
+        if mask is not None:  # set in intp: n - 1 = q does not fit the storage dtype
+            row[:, 1:][~mask[k]] = n - 1
+        row[:, -1] += n
+        code = table[row].tobytes().replace(b"\0", b"")
+        view[pos : pos + len(code)] = code
+        pos += len(code) + 2
+        view[pos - 2 : pos] = b"],"
+    return pos
+
+
+_SCAN_BYTES = 1 << 16  # the codec's chunk budget, read and write; a chunk holds at least one whole code
 _HEADER = re.compile(rb'\{"K":([1-9][0-9]{0,17}),"L":([1-9][0-9]{0,17}),"M":([1-9][0-9]{0,17}),"codes":\[')
 _TOKEN = 0xFF  # a token's one byte in a layout template; no byte of canonical text
 
@@ -313,10 +361,13 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
 
     The codes payload runs from the header to the last ``],"meta":``, and
     what follows must be an object with the keys meta and q alone.  The
-    payload is cut into chunks of whole codes.  K, M and L come from its
-    brackets and must match the header.  Each chunk is then read by
-    ``_scan_chunk`` against the layout of its codes, straight into the
-    exponent array and the mask of holes.
+    payload is cut into chunks of whole codes.  Where its length is that of
+    one-byte tokens in the header's K, M and L, the cuts are computed and
+    the "," at each is checked.  Otherwise each cut is searched for, and
+    K, M and L are counted from the brackets and must match the header.
+    Each chunk is then read by ``_scan_chunk`` against the layout of its
+    codes, straight into the exponent array and the mask of holes; the
+    layout checks every byte, so the header alone sizes nothing.
     """
     head = _HEADER.match(data)
     start = head.end() if head else 0
@@ -330,22 +381,32 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     q, meta = rest.get("q"), rest.get("meta")
     if rest.keys() != {"meta", "q"} or type(q) is not int or q < 1 or not isinstance(meta, dict):
         return None
+    K, L, M = map(int, head.groups())
+    size = 4 + M * (2 * L - 1) + 3 * (M - 1)  # the text of a code whose tokens are one byte wide
     chunks = []  # (first byte, end, number of codes)
-    pos = start
-    while pos < stop:
-        end = stop
-        if stop - pos > _SCAN_BYTES:
-            cut = data.rfind(b"]],[[", pos, pos + _SCAN_BYTES)
-            cut = data.find(b"]],[[", pos, stop) if cut < 0 else cut
-            end = stop if cut < 0 else cut + 2
-        chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
-        pos = end + 1  # past the "," between two codes
-    K = sum(c for *_, c in chunks)
-    M = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
-    L = data.count(b",", start, data.find(b"]", start, stop)) + 1
-    # the header alone sizes nothing, and every entry takes two bytes of the payload
-    if (K, L, M) != tuple(map(int, head.groups())) or 2 * K * M * L > stop - start:
-        return None
+    if stop - start == K * (size + 1) - 1:  # every token one byte wide: the cuts are computed
+        c = max(1, _SCAN_BYTES // (size + 1))
+        for k in range(0, K, c):
+            pos = start + k * (size + 1)
+            chunks.append((pos, pos + min(c, K - k) * (size + 1) - 1, min(c, K - k)))
+        if any(data[end] != ord(",") for _, end, _ in chunks[:-1]):
+            return None
+    else:
+        pos = start
+        while pos < stop:
+            end = stop
+            if stop - pos > _SCAN_BYTES:
+                cut = data.rfind(b"]],[[", pos, pos + _SCAN_BYTES)
+                cut = data.find(b"]],[[", pos, stop) if cut < 0 else cut
+                end = stop if cut < 0 else cut + 2
+            chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
+            pos = end + 1  # past the "," between two codes
+        codes = sum(c for *_, c in chunks)
+        seqs = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
+        entries = data.count(b",", start, data.find(b"]", start, stop)) + 1
+        # the header alone sizes nothing, and every entry takes two bytes of the payload
+        if (codes, seqs, entries) != (K, M, L) or 2 * K * M * L > stop - start:
+            return None
     code = b"[[" + b"],[".join([b",".join([bytes([_TOKEN])] * L)] * M) + b"]]"
     exps = np.empty(K * M * L, dtype=exps_dtype(q))
     mask = None

@@ -501,7 +501,8 @@ def _spectra(buf, index, exps, mask, roots, js, k0, kk, m0, mm, N):
     """Bin-major FFT (N, J, kk, mm), zero-padded to N, of exps[k0:k0+kk, m0:m0+mm] at the J characters js, in buf.
 
     roots is the one table root_table(q); the entry of exponent e at the
-    character j is roots[j e mod q], looked up through the int64 buffer ``index``.
+    character j is roots[j e mod q], looked up through the int64 buffer ``index``,
+    which then holds the holes of ``mask``.
     """
     L = exps.shape[2]
     J = js.size
@@ -511,8 +512,10 @@ def _spectra(buf, index, exps, mask, roots, js, k0, kk, m0, mm, N):
     e *= js[:, None, None]
     e %= roots.size
     roots.take(e, out=x[:L], mode="clip")
-    if mask is not None:
-        x[:L] *= mask[k0 : k0 + kk, m0 : m0 + mm].transpose(2, 0, 1)[:, None]
+    if mask is not None:  # the holes, inverted into the spent index buffer: no cast, no buffer outside the plan
+        holes = index.view(bool)[: L * kk * mm].reshape(L, 1, kk, mm)
+        np.logical_not(mask[k0 : k0 + kk, m0 : m0 + mm].transpose(2, 0, 1)[:, None], out=holes)
+        np.copyto(x[:L], 0, where=holes)
     x[L:] = 0
     return np.fft.fft(x, axis=0, out=x)
 

@@ -323,7 +323,11 @@ class GeneralizedQuadraticSpec:
                     raise SpecError(f"{name}[{i}] misses restriction classes {sorted(classes - set(entry))}")
                 if set(entry) - classes:
                     raise SpecError(f"{name}[{i}] carries unknown restriction classes {sorted(set(entry) - classes)}")
-                stored.append({c: check(entry[c], i) for c in sorted(classes)})
+                checked = {}  # id of a value -> its checked form: a value shared by classes is checked once
+                for c in sorted(classes):
+                    if id(entry[c]) not in checked:
+                        checked[id(entry[c])] = check(entry[c], i)
+                stored.append({c: checked[id(entry[c])] for c in sorted(classes)})
             object.__setattr__(self, name, tuple(stored))
         couplings = tuple(
             (int(lam) % q, check_table(f, q), check_table(h, q)) for lam, f, h in self.couplings

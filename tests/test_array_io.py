@@ -21,6 +21,7 @@ from ccckit.construct import UNIFORM, CodeSet, ConfigError, exps_dtype, set_size
 from ccckit.qary import build_from_spec
 
 from conftest import oracle_digit_matrix, oracle_restriction_values, rand_perm_table, rand_table, run_python
+from test_fuzz import MUTATION_BYTES
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -646,3 +647,109 @@ def test_reader_memory_is_file_plus_arrays_plus_chunks(tmp_path, holes):
     assert path.stat().st_size > 16 * construct._SCAN_BYTES  # many chunks
     arrays = back.exps.nbytes + (0 if back.mask is None else back.mask.nbytes)
     assert peak <= path.stat().st_size + arrays + CHUNK_ALLOWANCE[holes]
+
+
+# ---------------------------------------------------------------------------
+# the computed cuts of one-byte-token payloads, and the one-buffer writer
+
+
+def one_byte_text(K, M, L, q=3):
+    """The canonical text of a (K, M, L) set whose tokens are all one byte wide, and its chunking."""
+    exps = np.random.default_rng(K * M * L).integers(0, min(q, 10), size=(K, M, L))
+    data = CodeSet(q, exps, meta={"kind": "test"}).dumps().encode()
+    start = construct._HEADER.match(data).end()
+    size = 4 + M * (2 * L - 1) + 3 * (M - 1)
+    return data, start, size, max(1, construct._SCAN_BYTES // (size + 1))
+
+
+# (K, M, L): chunks of several codes, and codes larger than _SCAN_BYTES, one a chunk
+CUT_SHAPES = {"codes-a-chunk": (200, 4, 100), "code-beyond-the-budget": (3, 4, 9000)}
+
+
+@pytest.mark.parametrize("shape", CUT_SHAPES.values(), ids=CUT_SHAPES.keys())
+@pytest.mark.parametrize("byte", sorted(set(MUTATION_BYTES)))
+def test_the_byte_between_two_chunks(tmp_path, shape, byte):
+    data, start, size, c = one_byte_text(*shape)
+    assert c > 1 if shape == CUT_SHAPES["codes-a-chunk"] else size > construct._SCAN_BYTES
+    cut = start + c * (size + 1) - 1
+    assert data[cut - 2 : cut + 3] == b"]],[["
+    mutated = data[:cut] + byte.encode() + data[cut + 1 :]
+    assert (construct._scan_canonical(mutated) is not None) == (byte == ",")
+    assert_same_outcome(tmp_path, mutated)
+
+
+@pytest.mark.parametrize("shape", CUT_SHAPES.values(), ids=CUT_SHAPES.keys())
+def test_a_moved_code_boundary_keeps_the_length(tmp_path, shape):
+    data, start, size, c = one_byte_text(*shape)
+    for code in sorted({1, c}):  # the end of the first code, and of the first chunk
+        cut = start + code * (size + 1) - 1
+        # ",d]],[[" -> "]],[[d,": the first code's last sequence loses an entry, the next code gains one
+        moved = data[: cut - 4] + b"]],[[" + data[cut - 3 : cut - 2] + b"," + data[cut + 3 :]
+        assert len(moved) == len(data) and moved != data
+        assert construct._scan_canonical(moved) is None
+        assert isinstance(assert_same_outcome(tmp_path, moved), tuple)
+
+
+def test_a_payload_one_byte_longer_or_shorter(tmp_path):
+    data, start, size, c = one_byte_text(200, 4, 100, q=30)
+    first = start + 2  # the first token: "[[" opens the first code
+    cut = start + c * (size + 1) - 1  # the "," between the first two chunks
+    longer = data[:first] + b"12" + data[first + 1 :]  # a two-digit value: canonical, so scanned by the search
+    scanned = construct._scan_canonical(longer)
+    assert scanned is not None and scanned.exps[0, 0, 0] == 12
+    assert assert_same_outcome(tmp_path, longer).same_codes(scanned)
+    for edited in (
+        data[:first] + b"0" + data[first:],  # a leading zero
+        data[:first] + data[first + 1 :],  # a token deleted
+        data[: first + 1] + data[first + 2 :],  # a "," deleted: two tokens run together
+        data[:cut] + data[cut + 1 :],  # the "," between two chunks deleted
+    ):
+        assert abs(len(edited) - len(data)) == 1
+        assert construct._scan_canonical(edited) is None
+        assert_same_outcome(tmp_path, edited)
+
+
+@pytest.mark.parametrize("q", [1, 10, 11, 256, 70000])
+@pytest.mark.parametrize("holes", [False, True])
+@pytest.mark.parametrize("shape", [(3, 2, 5), (1, 3, 4), (3, 2, 1), (1, 1, 1), (12, 2, 3)])
+def test_dumps_is_the_canonical_json(q, holes, shape):
+    # K = 1, L = 1, and headers of odd and even length, where the one-digit writer aligns its tokens
+    rng = np.random.default_rng(q)
+    exps = rng.integers(0, q, size=shape)
+    exps.flat[0] = q - 1
+    mask = None
+    if holes:
+        mask = rng.random(shape) >= 0.3
+        mask.flat[-1] = False
+    C = CodeSet(q, exps, mask, {"kind": "test", "q": q})
+    assert (C.mask is not None) == holes
+    assert C.dumps() == construct._canonical(C.to_json()) + "\n"
+
+
+@pytest.mark.parametrize("shape", [(0, 1, 1), (1, 0, 3), (2, 2, 0)])
+def test_dumps_of_a_set_with_an_empty_axis(shape):
+    C = CodeSet(3, np.zeros(shape, dtype=np.int64))
+    assert C.dumps() == construct._canonical(C.to_json()) + "\n"
+
+
+def text_bound(C):
+    """The upper bound that sizes the writer's buffer: the widest token for every entry plus the brackets."""
+    widest = max(len(str(C.q - 1)), 0 if C.mask is None else len("null"))
+    head = f'{{"K":{C.K},"L":{C.L},"M":{C.M},"codes":['
+    tail = f'],"meta":{construct._canonical(C.meta)},"q":{C.q}}}\n'
+    return (widest + 1) * C.K * C.M * C.L + 2 * C.K * C.M + 2 * C.K + len(head) + len(tail)
+
+
+@pytest.mark.parametrize("q,holes", [(3, False), (3, True), (30, False)])
+def test_writer_memory_is_its_buffer_plus_the_string(q, holes):
+    C = CodeSet(q, np.random.default_rng(27).integers(0, q, size=(27, 27, 729)))
+    C = with_holes(C, seed=27) if holes else C
+    tracemalloc.start()
+    try:
+        text = C.dumps()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == construct._canonical(C.to_json()) + "\n"
+    assert len(text) > 16 * construct._SCAN_BYTES
+    assert peak <= text_bound(C) + len(text) + (64 << 10), (peak, text_bound(C), len(text))

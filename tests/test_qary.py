@@ -268,6 +268,46 @@ def test_per_restriction_dict_coverage():
         )
 
 
+def test_a_shared_pi_or_gs_is_checked_once_per_block(monkeypatch):
+    d = DomainSpec(((3, 4),))  # J = (2, 3): nine restriction classes
+    ident = identity_table(3)
+    zero = constant_table(3)
+    calls = {"_check_pi": 0, "_check_gs": 0}
+    for name in calls:
+        check = getattr(GeneralizedQuadraticSpec, name)
+
+        def counted(self, value, block, check=check, name=name):
+            calls[name] += 1
+            return check(self, value, block)
+
+        monkeypatch.setattr(GeneralizedQuadraticSpec, name, counted)
+    spec = GeneralizedQuadraticSpec(domain=d, J=((2, 3),), pis=((0, 1),), chains=(((ident, ident),),),
+                                    gs=((zero, ident),))
+    assert calls == {"_check_pi": 1, "_check_gs": 1}
+    assert spec.pis[0] == dict.fromkeys(range(9), (0, 1))
+    assert spec.gs[0] == dict.fromkeys(range(9), (zero, ident))
+    dataclasses.replace(spec)  # the stored dicts hold one value under every class
+    assert calls == {"_check_pi": 2, "_check_gs": 2}
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("pis", (0, 0)),  # not a bijection onto the free positions
+    ("gs", ((0, 1, 2),)),  # one table where two are needed
+    ("gs", ((0, 1, 2), (0, 1))),  # a table of the wrong length
+    ("gs", ((0, 1, 2), (0, 1, 3))),  # an entry outside Z_3
+])
+def test_a_bad_shared_pi_or_gs_raises_the_per_class_error(field, bad):
+    d = DomainSpec(((3, 4),))
+    ident = identity_table(3)
+    fields = {"pis": ((0, 1),), "gs": ((ident, ident),)}
+    errors = []
+    for value in (bad, {c: bad for c in range(9)}):  # shared, and the same value keyed by every class
+        with pytest.raises(SpecError) as err:
+            GeneralizedQuadraticSpec(domain=d, J=((2, 3),), chains=(((ident, ident),),), **{**fields, field: (value,)})
+        errors.append(str(err.value))
+    assert errors[0] == errors[1], errors
+
+
 @pytest.mark.parametrize("offsets", ["x", [1], (0, 1), 3])
 def test_offsets_must_be_a_mapping(offsets):
     spec = example72.construction_spec()
