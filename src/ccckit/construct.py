@@ -428,15 +428,15 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     return CodeSet(q, exps.reshape(K, M, L), None if mask is None else mask.reshape(K, M, L), meta)
 
 
-def _scan_chunk(a: np.ndarray, template: np.ndarray, slots: np.ndarray, q: int) -> tuple | None:
+def _scan_chunk(a: np.ndarray, template: np.ndarray, tokens: np.ndarray, q: int) -> tuple | None:
     """The values and holes (None if there are none) of a chunk of codes, or None.
 
     ``template`` is the chunk's layout with every token one ``_TOKEN`` byte,
-    at the offsets ``slots``.  The chunk must have that layout, each token
+    at the offsets ``tokens``.  The chunk must have that layout, each token
     being null or digits without a leading zero, and every value below q.
     """
     if len(a) == len(template):  # every token one byte wide: a digit in each slot
-        v = a.take(slots) - ord("0")
+        v = a.take(tokens) - ord("0")
         ok = ((a == template) | (template == _TOKEN)).all() and v.max() < min(q, 10)
         return (v, None) if ok else None
     digit = (a - ord("0")) < 10
@@ -637,11 +637,9 @@ def build_code_set(cs: ConstructionSpec) -> CodeSet:
     work = exps_dtype(2 * q - 1)  # holds T + D <= 2q - 2
     _check_alloc(_tensor_bytes(K * K * L, q, work) + 8 * L * (d.m + 2 * K), f"a ({K}, {L}) code set over Z_{q}")
     digits = digit_matrix(d)
-    classes = cs.restriction_classes()
-    slot_digits = cs.slot_digits(classes)
-    T = np.broadcast_to(build_from_spec(cs, classes, slot_digits).table, (K, L)).copy()
+    T = np.broadcast_to(build_from_spec(cs).table, (K, L)).copy()
     D = np.zeros((K, L), dtype=np.int64)
-    for i, (S, slots) in enumerate(zip(seed_digits(cs), slot_digits)):
+    for i, (S, slots) in enumerate(zip(seed_digits(cs), cs.slot_digits)):
         w = cs.chain_weight(i)
         restricted = S[:, :-1] @ digits[:, list(cs.J[i])].T
         T += w * (restricted + S[:, -1:] * slots[:, -1])

@@ -143,21 +143,21 @@ def place_digits(x, radix, weight) -> np.ndarray:
 
 
 def int_to_vec(x: int, d: DomainSpec) -> tuple[int, ...]:
-    """Digit vector of x, block 1 first, least significant digit first."""
-    if not 0 <= x < d.L:
-        raise ValueError(f"index {x} out of range [0, {d.L})")
-    return tuple(x // w % p for w, p in zip(d.weights, d.radix_per_position))
+    """Digit vector of x, block 1 first, least significant digit first; x is a Python or NumPy integer, not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < d.L:
+        raise ValueError(f"index {x} must be an integer in [0, {d.L})")
+    return tuple(int(x) // w % p for w, p in zip(d.weights, d.radix_per_position))
 
 
 def vec_to_int(v, d: DomainSpec) -> int:
-    """Inverse of int_to_vec; validates every digit against its bound."""
+    """Inverse of int_to_vec; every digit must be an integer within its bound, as int_to_vec's index must."""
     v = tuple(v)
     if len(v) != d.m:
         raise ValueError(f"expected {d.m} digits, got {len(v)}")
     for j, (digit, p) in enumerate(zip(v, d.radix_per_position)):
-        if not 0 <= digit < p:
-            raise ValueError(f"digit {digit} at position {j} violates bound {p}")
-    return sum(digit * w for digit, w in zip(v, d.weights))
+        if isinstance(digit, bool) or not isinstance(digit, (int, np.integer)) or not 0 <= digit < p:
+            raise ValueError(f"digit {digit} at position {j} must be an integer in [0, {p})")
+    return sum(int(digit) * w for digit, w in zip(v, d.weights))
 
 
 @functools.lru_cache(maxsize=64)

@@ -20,6 +20,7 @@ N_c partition the domain as c ranges over all digit choices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -117,7 +118,7 @@ class MonomialForm:
         return max(sum(1 for v in e if v) for e in self.coeffs)
 
     def evaluate(self, x) -> int:
-        digits = int_to_vec(x, self.domain) if isinstance(x, (int, np.integer)) else tuple(x)
+        digits = int_to_vec(x if isinstance(x, (int, np.integer)) else vec_to_int(x, self.domain), self.domain)
         q = self.domain.q
         total = 0
         for e, c in self.coeffs.items():
@@ -276,9 +277,11 @@ class GeneralizedQuadraticSpec:
     either way they are stored as that dict, in class order.  ``couplings``
     holds k - 1 triples (lam, f, h): lam * f(last position of block i)
     * h(first position of block i+1).  ``offsets`` maps restriction index -> Z_q
-    constant (missing entries are 0).  ``corrupted`` marks a spec whose chain
-    tables intentionally fail the permutation requirement; constructors only
-    accept such specs through the corruption API.
+    constant and is stored the same way, a class it leaves out at 0.  ``corrupted``
+    marks a spec whose chain tables intentionally fail the permutation
+    requirement; constructors only accept such specs through the corruption API.
+    The arrays ``restriction_classes`` and ``slot_digits`` are read-only and
+    computed on first read, not in ``__post_init__``, then kept on the spec.
     """
 
     domain: DomainSpec
@@ -338,9 +341,9 @@ class GeneralizedQuadraticSpec:
         if not isinstance(self.offsets, (Mapping, type(None))):
             raise SpecError(f"offsets must be a mapping or None, got {type(self.offsets).__name__}")
         offsets = {int(k): int(v) % q for k, v in (self.offsets or {}).items()}
-        object.__setattr__(self, "offsets", offsets)
         if not set(offsets) <= classes:
             raise SpecError("offsets carry unknown restriction classes")
+        object.__setattr__(self, "offsets", {c: offsets.get(c, 0) for c in sorted(classes)})
 
     def _check_pi(self, pi, block: int) -> tuple[int, ...]:
         free = set(self.domain.block_positions(block)) - set(self.J[block])
@@ -367,32 +370,22 @@ class GeneralizedQuadraticSpec:
     def restriction_count(self) -> int:
         return prod(p**ni for (p, _), ni in zip(self.domain.blocks, self.n))
 
+    @functools.cached_property
     def restriction_classes(self) -> np.ndarray:
-        """(L,) restriction index of every point."""
+        """(L,) restriction index of every point.  Read-only."""
         _, weight = restriction_weights(self.domain, self.flat_J)
-        return digit_matrix(self.domain)[:, list(self.flat_J)] @ np.asarray(weight, dtype=np.int64)
-
-    def slot_digits(self, classes=None) -> list[np.ndarray]:
-        """Per block i, the (L, m_i - n_i) digits of every point at the chain slots, in its class's pi order.
-
-        ``classes`` is restriction_classes(), computed here unless the caller has it.
-        """
-        digits = digit_matrix(self.domain)
-        classes = self.restriction_classes() if classes is None else classes
-        out = []
-        for i in range(self.domain.k):
-            pis = np.array([self.pi_for(i, c) for c in range(self.restriction_count())])
-            out.append(np.take_along_axis(digits, pis[classes], axis=1))
+        out = digit_matrix(self.domain)[:, list(self.flat_J)] @ np.asarray(weight, dtype=np.int64)
+        out.setflags(write=False)
         return out
 
-    def pi_for(self, block: int, cidx: int) -> tuple[int, ...]:
-        return self.pis[block][cidx]
-
-    def gs_for(self, block: int, cidx: int):
-        return self.gs[block][cidx]
-
-    def offset_for(self, cidx: int) -> int:
-        return self.offsets.get(cidx, 0)
+    @functools.cached_property
+    def slot_digits(self) -> tuple[np.ndarray, ...]:
+        """Per block i, the (L, m_i - n_i) chain-slot digits of every point, in its class's pi order.  Read-only."""
+        digits, out = digit_matrix(self.domain), []
+        for pis in self.pis:
+            out.append(np.take_along_axis(digits, np.array(list(pis.values()))[self.restriction_classes], axis=1))
+            out[-1].setflags(write=False)
+        return tuple(out)
 
     def chain_weight(self, block: int) -> int:
         return self.domain.q // self.domain.blocks[block][0]
@@ -422,7 +415,7 @@ def chain_failure_text(block: int, chain: int, which: str, p: int) -> str:
     return f"block {block}, chain {chain}, {which} does not permute Z_{p}"
 
 
-def build_from_spec(s: GeneralizedQuadraticSpec, classes=None, slots=None) -> QaryFunction:
+def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
     """Materialize the value table of the structured function.
 
     On each restriction class N_c the value is
@@ -433,19 +426,16 @@ def build_from_spec(s: GeneralizedQuadraticSpec, classes=None, slots=None) -> Qa
                             * h_{i'}(x at first chain slot of block i'+1)
         + offset(c),  all mod q.
 
-    ``classes`` and ``slots`` are s.restriction_classes() and
-    s.slot_digits(classes), computed here unless the caller has them.
+    Each point reads its class's pi, g and offset through s.restriction_classes and s.slot_digits.
     """
-    q = s.domain.q
-    classes = s.restriction_classes() if classes is None else classes
-    slots = s.slot_digits(classes) if slots is None else slots
-    table = np.array([s.offset_for(c) for c in range(s.restriction_count())], dtype=np.int64)[classes]
+    q, classes, slots = s.domain.q, s.restriction_classes, s.slot_digits
+    table = np.array(list(s.offsets.values()), dtype=np.int64)[classes]
     for i, x in enumerate(slots):
         w = s.chain_weight(i)
         for j, (f, fp) in enumerate(s.chains[i]):
             f, fp = np.asarray(f, dtype=np.int64), np.asarray(fp, dtype=np.int64)
             table = (table + w * f[x[:, j]] * fp[x[:, j + 1]]) % q
-        g = np.array([s.gs_for(i, c) for c in range(s.restriction_count())], dtype=np.int64)
+        g = np.array(list(s.gs[i].values()), dtype=np.int64)
         for j in range(x.shape[1]):
             table = (table + g[classes, j, x[:, j]]) % q
     for i, (lam, f, h) in enumerate(s.couplings):

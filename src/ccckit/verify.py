@@ -209,11 +209,11 @@ def _probe_order(cs: ConstructionSpec) -> tuple[tuple[int, ...], str]:
     come next.  Then n delta p^{pi(j+1)}, and last the rest of
     ``witness_shifts``.  Every shift lies in (0, L) and none repeats.
     """
-    d, failures, classes = cs.domain, cs.chain_failures(), range(cs.restriction_count())
+    d, failures = cs.domain, cs.chain_failures()
     order = []
     for i, j in dict.fromkeys((i, j) for i, j, *_ in failures):
         (p, mi), ni, delta, start = d.blocks[i], cs.n[i], d.deltas[i], d.block_offsets[i]
-        pis = [[e - start for e in pi] for pi in dict.fromkeys(cs.pi_for(i, c) for c in classes)]
+        pis = [[e - start for e in pi] for pi in dict.fromkeys(cs.pis[i].values())]
         ns = range(1, p)
         order += [delta * (sum((p - 1) * p**e for e in pi[j + 1:]) - (n - 1) * p ** pi[j + 1])
                   for pi in pis for n in ns]

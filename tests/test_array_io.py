@@ -55,7 +55,7 @@ def oracle_build(cs):
         mask = np.ones(d.L, dtype=bool)
         for j, cj in zip(cs.flat_J, c):
             mask &= digits[:, j] == cj
-        classes.append((np.flatnonzero(mask), [cs.pi_for(i, cidx) for i in range(d.k)]))
+        classes.append((np.flatnonzero(mask), [cs.pis[i][cidx] for i in range(d.k)]))
 
     def seed(value):
         if cs.kind == UNIFORM:
@@ -414,9 +414,16 @@ def test_from_json_accepts_holes_and_header_fields():
 HUGE = {"kind": "theorem1", "q": 3, "m": 200}
 
 
-def test_build_refuses_sizes_beyond_memory():
+def test_build_refuses_sizes_beyond_memory(monkeypatch):
+    """Refused before the spec computes its length-L restriction classes and slot digits."""
+    specs = [spec_from_config(HUGE)]
     with pytest.raises(ConfigError, match="physical memory"):
-        ck.build_code_set(spec_from_config(HUGE))
+        ck.build_code_set(specs[0])
+    monkeypatch.setattr(construct, "_physical_memory", lambda: 2**16)
+    specs.append(spec_from_config({"kind": "corollary1", "q": 3, "m": 8, "n": 1, "seed": 1}))  # a (9, 6561) set
+    with pytest.raises(ConfigError, match="physical memory"):
+        ck.build_code_set(specs[1])
+    assert [{"restriction_classes", "slot_digits"} & set(vars(spec)) for spec in specs] == [set(), set()]
 
 
 def test_cli_build_refuses_sizes_beyond_memory(tmp_path, capsys):

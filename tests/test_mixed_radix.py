@@ -93,6 +93,20 @@ def test_range_errors():
         vec_to_int((0, 0, 0, 0), D72)  # wrong arity
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, np.float64(1.0), True, np.True_, "1", None])
+def test_non_integer_indices_and_digits_are_refused(bad):
+    """Only Python and NumPy integers are points and digits: no float is truncated and no bool read as 0 or 1."""
+    with pytest.raises(ValueError, match="must be an integer"):
+        int_to_vec(bad, D72)
+    with pytest.raises(ValueError, match="must be an integer"):
+        vec_to_int((bad, 1, 0, 0, 0), D72)
+    assert int_to_vec(np.int64(70), D72) == (0, 1, 1, 2, 2) == int_to_vec(np.uint8(70), D72)
+    assert vec_to_int(np.array([0, 1, 1, 2, 2]), D72) == 70
+    big = DomainSpec(((2, 70),))  # L = 2^70: Python integer arithmetic, no int64 overflow
+    assert vec_to_int(np.ones(70, dtype=np.int64), big) == 2**70 - 1
+    assert int_to_vec(2**70 - 1, big) == (1,) * 70
+
+
 def test_block_structure_validation():
     with pytest.raises(ValueError):
         DomainSpec(())

@@ -93,6 +93,15 @@ def test_reference_function_values():
         f(72)
 
 
+@pytest.mark.parametrize("x", [(1, 1, 0, 0), (5, 1, 0, 0, 0), (1.9, 1, 0, 0, 0), (True, 1, 0, 0, 0), 72, -1, True])
+def test_evaluate_refuses_malformed_points(x):
+    """Four digits for five positions, a digit past its radix, a float or bool digit, an index out of range, a bool."""
+    form = example72.monomial_form()
+    assert form.evaluate((1, 1, 1, 0, 0)) == form.evaluate(np.int64(7)) == form.evaluate(7) == 0
+    with pytest.raises(ValueError, match="must be an integer|expected 5 digits"):
+        form.evaluate(x)
+
+
 def test_zero_function():
     z = MonomialForm(D72, {}).to_function()
     assert not z.table.any()
@@ -310,11 +319,14 @@ def test_a_bad_shared_pi_or_gs_raises_the_per_class_error(field, bad):
 
 @pytest.mark.parametrize("offsets", ["x", [1], (0, 1), 3])
 def test_offsets_must_be_a_mapping(offsets):
+    """A mapping or None is stored keyed by every class, in class order, so leaving a class out means 0."""
     spec = example72.construction_spec()
     with pytest.raises(SpecError, match="offsets must be a mapping"):
         dataclasses.replace(spec, offsets=offsets)
-    for ok in (None, {}, {0: 7}):
-        assert dataclasses.replace(spec, offsets=ok).offsets == ({0: 7 % spec.domain.q} if ok else {})
+    assert list(dataclasses.replace(spec, offsets={0: 7}).offsets.items()) == [(0, 7 % spec.domain.q), (1, 0)]
+    zero = [dataclasses.replace(spec, offsets=ok) for ok in (None, {}, {1: 0, 0: 0})]
+    assert zero[0] == zero[1] == zero[2] != spec
+    assert [list(s.offsets.items()) for s in zero] == [[(0, 0), (1, 0)]] * 3
 
 
 def test_validate_chains_reports_offender():
@@ -409,8 +421,8 @@ def oracle_build_from_spec(s):
         for j, cj in zip(flat_J, c):
             mask &= digits[:, j] == cj
         sel = digits[mask]
-        acc = np.full(sel.shape[0], s.offset_for(cidx), dtype=np.int64)
-        pis = [s.pi_for(i, cidx) for i in range(d.k)]
+        acc = np.full(sel.shape[0], s.offsets[cidx], dtype=np.int64)
+        pis = [s.pis[i][cidx] for i in range(d.k)]
         for i in range(d.k):
             w = s.chain_weight(i)
             pi = pis[i]
@@ -418,7 +430,7 @@ def oracle_build_from_spec(s):
                 fa = np.asarray(f, dtype=np.int64)[sel[:, pi[j]]]
                 fb = np.asarray(fp, dtype=np.int64)[sel[:, pi[j + 1]]]
                 acc = (acc + w * fa * fb) % q
-            for j, g in enumerate(s.gs_for(i, cidx)):
+            for j, g in enumerate(s.gs[i][cidx]):
                 acc = (acc + np.asarray(g, dtype=np.int64)[sel[:, pi[j]]]) % q
         for i, (lam, f, h) in enumerate(s.couplings):
             if lam:
@@ -439,7 +451,7 @@ def oracle_classes_and_slots(s):
         idx = np.flatnonzero((digits[:, list(s.flat_J)] == c).all(axis=1))
         classes[idx] = cidx
         for i in range(d.k):
-            slots[i][idx] = digits[np.ix_(idx, s.pi_for(i, cidx))]
+            slots[i][idx] = digits[np.ix_(idx, s.pis[i][cidx])]
     return classes, slots
 
 
@@ -467,11 +479,26 @@ def rand_general_spec(rng):
     return GeneralizedQuadraticSpec(d, J, tuple(pis), tuple(chains), tuple(gs), couplings, offsets)
 
 
-@pytest.mark.parametrize("seed", range(48))
-def test_build_from_spec_matches_the_per_class_oracle(seed):
-    s = rand_general_spec(random.Random(seed))
+def assert_matches_the_per_class_oracle(s):
+    """s's derived arrays and value table against the oracles; the arrays are read-only and read once."""
     classes, slots = oracle_classes_and_slots(s)
-    assert np.array_equal(s.restriction_classes(), classes)
-    for got, want in zip(s.slot_digits(), slots):
+    assert np.array_equal(s.restriction_classes, classes)
+    for got, want in zip(s.slot_digits, slots, strict=True):
         assert np.array_equal(got, want)
     assert np.array_equal(build_from_spec(s).table, oracle_build_from_spec(s))
+    assert s.restriction_classes is s.restriction_classes and s.slot_digits is s.slot_digits
+    for array in (s.restriction_classes, *s.slot_digits):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+@pytest.mark.parametrize("seed", range(48))
+def test_build_from_spec_matches_the_per_class_oracle(seed):
+    """A random spec, and the specs replace and corrupt_spec make from it once its arrays were read: none is stale."""
+    s = rand_general_spec(random.Random(seed))
+    assert_matches_the_per_class_oracle(s)
+    # reversed orderings move the chain slots of every block with two or more
+    assert_matches_the_per_class_oracle(dataclasses.replace(
+        s, pis=tuple({c: pi[::-1] for c, pi in pis.items()} for pis in s.pis), offsets=None))
+    for block in (i for i, pairs in enumerate(s.chains) if pairs):
+        assert_matches_the_per_class_oracle(ck.corrupt_spec(s, block, 0, "fp", constant_table(s.domain.q)))

@@ -5,6 +5,7 @@ and one check of the chain condition."""
 
 import ast
 import fnmatch
+import functools
 import importlib.util
 import inspect
 import re
@@ -147,12 +148,21 @@ def test_gram_by_matmul():
 def test_one_spec_object_and_one_chain_check():
     """The chain condition is evaluated in GeneralizedQuadraticSpec.chain_failures; corrupt_spec tests its
     replacement and lemma1_equiv_check tests the permutation side of the lemma.  A ConstructionSpec is the spec,
-    so nothing in src reads a ``func`` attribute but the CLI's subcommand, and per-class fields are read by
-    indexing, not through a shared-or-dict helper."""
+    so nothing in src reads a ``func`` attribute but the CLI's subcommand.  Per-class fields are read by
+    indexing, not through a shared-or-dict helper or a per-class accessor, and the arrays the spec implies are
+    cached attributes of the spec, not values handed down through ``classes``/``slots`` parameters."""
     assert {where for _, where in _calls("is_permutation_mod")} == {
         "chain_failures", "corrupt_spec", "lemma1_equiv_check"}
     reads = [(path.stem, ast.unparse(node)) for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Attribute) and node.attr == "func"]
     assert reads == [("cli", "args.func")]
-    assert not [path.name for path in SRC.glob("*.py") if re.search(r"\b_per_restriction\b", path.read_text())]
+    helpers = r"\b(_per_restriction|pi_for|gs_for|offset_for)\b"
+    assert not [path.name for path in SRC.glob("*.py") if re.search(helpers, path.read_text())]
+    params = [(path.stem, node.arg) for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.arg)]
+    assert not [param for param in params if param[1] in ("classes", "slots")]
+    from ccckit.qary import GeneralizedQuadraticSpec
+
+    for name in ("restriction_classes", "slot_digits"):
+        assert isinstance(vars(GeneralizedQuadraticSpec)[name], functools.cached_property), name
