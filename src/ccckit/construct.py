@@ -114,8 +114,12 @@ _canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":")
 
 
 def _pair(token: str) -> np.uint16:
-    """Two bytes of ASCII text as one little-endian uint16, the unit of the one-digit writer."""
+    """Two bytes of ASCII text as one little-endian uint16, the unit of one-digit text."""
     return np.uint16(int.from_bytes(token.encode(), "little"))
+
+
+_OPEN, _NEXT, _CLOSE, _LAST = _pair("[["), _pair(",["), _pair("],"), _pair("]]")  # the brackets of one-digit text
+_DIGIT, _DIGIT_END = _pair("0,"), _pair("0]")  # plus the value: an entry, and a sequence's last entry
 
 
 @dataclass(frozen=True)
@@ -139,7 +143,7 @@ class CodeSet:
             raise ValueError(f"exponents must have an integer dtype, got {exps.dtype}")
         if exps.ndim != 3:
             raise ValueError("exps must have shape (K, M, L)")
-        if exps.size and (exps.min() < 0 or exps.max() >= self.q):
+        if exps.size and ((exps.dtype.kind == "i" and exps.min() < 0) or exps.max() >= self.q):
             raise ValueError(f"exponents must lie in [0, {self.q})")
         exps = exps.astype(exps_dtype(self.q), copy=False)
         exps.setflags(write=False)
@@ -307,14 +311,43 @@ def _write_digits(buf: np.ndarray, pos: int, exps: np.ndarray) -> int:
     size = 2 + M * (2 * L + 2)
     codes = buf[pos : pos + K * size].view("<u2").reshape(K, size // 2)
     seqs = codes[:, 1:].reshape(K, M, L + 1)
-    codes[:, 0] = _pair("[[")
-    seqs[:, :, L] = _pair(",[")
-    seqs[:, -1, L] = _pair("],")
+    codes[:, 0] = _OPEN
+    seqs[:, :, L] = _NEXT
+    seqs[:, -1, L] = _CLOSE
     c = max(1, _SCAN_BYTES // size)  # codes a step: each step's operands stay in cache
     for k in range(0, K, c):
-        np.add(exps[k : k + c, :, :-1], _pair("0,"), out=seqs[k : k + c, :, : L - 1])
-        np.add(exps[k : k + c, :, -1], _pair("0]"), out=seqs[k : k + c, :, L - 1])
+        np.add(exps[k : k + c, :, :-1], _DIGIT, out=seqs[k : k + c, :, : L - 1])
+        np.add(exps[k : k + c, :, -1], _DIGIT_END, out=seqs[k : k + c, :, L - 1])
     return pos + K * size
+
+
+def _read_digits(data: bytes, start: int, K: int, M: int, L: int, q: int) -> np.ndarray | None:
+    """The exponents (K, M, L) of one-digit text at data[start], laid out as ``_write_digits`` writes it; else None.
+
+    The text and the "]" after it are read as two-byte tokens through one
+    uint16 view, a step of whole codes at a time.  An entry's token less
+    "0," ("0]" for a sequence's last) must be below min(q, 10): with uint16
+    wrap-around, one compare checks the digit and its separator together.
+    The other tokens must be "[[", ",[", "]," and, after the last code, "]]".
+    """
+    size = 2 + M * (2 * L + 2)
+    codes = np.frombuffer(data, dtype="<u2", count=K * size // 2, offset=start).reshape(K, size // 2)
+    seqs = codes[:, 1:].reshape(K, M, L + 1)
+    ends = seqs[:, :, L]
+    bad = (codes[:, 0] != _OPEN).any() or (ends[:, :-1] != _NEXT).any() or (ends[:-1, -1] != _CLOSE).any()
+    if bad or ends[-1, -1] != _LAST:
+        return None
+    exps = np.empty((K, M, L), dtype=exps_dtype(q))
+    c = max(1, _SCAN_BYTES // size)
+    v = np.empty((c, M, L), dtype=np.uint16)
+    for k in range(0, K, c):
+        d = v[: min(c, K - k)]
+        np.subtract(seqs[k : k + c, :, : L - 1], _DIGIT, out=d[:, :, :-1])
+        np.subtract(seqs[k : k + c, :, L - 1], _DIGIT_END, out=d[:, :, -1])
+        if d.max() >= min(q, 10):
+            return None
+        exps[k : k + c] = d
+    return exps
 
 
 def _write_tokens(buf: np.ndarray, pos: int, exps: np.ndarray, mask: np.ndarray | None, q: int) -> int:
@@ -360,14 +393,14 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     """The set in the canonical text of ``dumps``, or None for any other text.
 
     The codes payload runs from the header to the last ``],"meta":``, and
-    what follows must be an object with the keys meta and q alone.  The
-    payload is cut into chunks of whole codes.  Where its length is that of
-    one-byte tokens in the header's K, M and L, the cuts are computed and
-    the "," at each is checked.  Otherwise each cut is searched for, and
-    K, M and L are counted from the brackets and must match the header.
-    Each chunk is then read by ``_scan_chunk`` against the layout of its
-    codes, straight into the exponent array and the mask of holes; the
-    layout checks every byte, so the header alone sizes nothing.
+    what follows must be an object with the keys meta and q alone.  Where
+    the payload's length is that of one-digit tokens in the header's K, M
+    and L, ``_read_digits`` reads it as ``_write_digits`` writes it.
+    Otherwise it is cut into chunks of whole codes at searched cuts, K, M
+    and L are counted from the brackets and must match the header, and
+    each chunk is read by ``_scan_chunk`` against the layout of its codes,
+    straight into the exponent array and the mask of holes.  Either way
+    every byte is checked, so the header alone sizes nothing.
     """
     head = _HEADER.match(data)
     start = head.end() if head else 0
@@ -382,41 +415,34 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     if rest.keys() != {"meta", "q"} or type(q) is not int or q < 1 or not isinstance(meta, dict):
         return None
     K, L, M = map(int, head.groups())
-    size = 4 + M * (2 * L - 1) + 3 * (M - 1)  # the text of a code whose tokens are one byte wide
+    if stop - start == K * (2 + M * (2 * L + 2)) - 1:  # every token one digit, as _write_digits writes it
+        exps = _read_digits(data, start, K, M, L, q)
+        return None if exps is None else CodeSet(q, exps, None, meta)
     chunks = []  # (first byte, end, number of codes)
-    if stop - start == K * (size + 1) - 1:  # every token one byte wide: the cuts are computed
-        c = max(1, _SCAN_BYTES // (size + 1))
-        for k in range(0, K, c):
-            pos = start + k * (size + 1)
-            chunks.append((pos, pos + min(c, K - k) * (size + 1) - 1, min(c, K - k)))
-        if any(data[end] != ord(",") for _, end, _ in chunks[:-1]):
-            return None
-    else:
-        pos = start
-        while pos < stop:
-            end = stop
-            if stop - pos > _SCAN_BYTES:
-                cut = data.rfind(b"]],[[", pos, pos + _SCAN_BYTES)
-                cut = data.find(b"]],[[", pos, stop) if cut < 0 else cut
-                end = stop if cut < 0 else cut + 2
-            chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
-            pos = end + 1  # past the "," between two codes
-        codes = sum(c for *_, c in chunks)
-        seqs = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
-        entries = data.count(b",", start, data.find(b"]", start, stop)) + 1
-        # the header alone sizes nothing, and every entry takes two bytes of the payload
-        if (codes, seqs, entries) != (K, M, L) or 2 * K * M * L > stop - start:
-            return None
+    pos = start
+    while pos < stop:
+        end = stop
+        if stop - pos > _SCAN_BYTES:
+            cut = data.rfind(b"]],[[", pos, pos + _SCAN_BYTES)
+            cut = data.find(b"]],[[", pos, stop) if cut < 0 else cut
+            end = stop if cut < 0 else cut + 2
+        chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
+        pos = end + 1  # past the "," between two codes
+    codes = sum(c for *_, c in chunks)
+    seqs = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
+    entries = data.count(b",", start, data.find(b"]", start, stop)) + 1
+    # the header alone sizes nothing, and every entry takes two bytes of the payload
+    if (codes, seqs, entries) != (K, M, L) or 2 * K * M * L > stop - start:
+        return None
     code = b"[[" + b"],[".join([b",".join([bytes([_TOKEN])] * L)] * M) + b"]]"
     exps = np.empty(K * M * L, dtype=exps_dtype(q))
     mask = None
-    layouts = {}  # number of codes -> (template, offsets of its tokens)
+    layouts = {}  # number of codes -> template
     done = 0
     for pos, end, c in chunks:
         if c not in layouts:
-            template = np.frombuffer(b",".join([code] * c), dtype=np.uint8)
-            layouts[c] = template, np.flatnonzero(template == _TOKEN)
-        scanned = _scan_chunk(np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos), *layouts[c], q)
+            layouts[c] = np.frombuffer(b",".join([code] * c), dtype=np.uint8)
+        scanned = _scan_chunk(np.frombuffer(data, dtype=np.uint8, count=end - pos, offset=pos), layouts[c], q)
         if scanned is None:
             return None
         v, holes = scanned  # c M L values: the chunk matched the template
@@ -428,17 +454,13 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     return CodeSet(q, exps.reshape(K, M, L), None if mask is None else mask.reshape(K, M, L), meta)
 
 
-def _scan_chunk(a: np.ndarray, template: np.ndarray, tokens: np.ndarray, q: int) -> tuple | None:
+def _scan_chunk(a: np.ndarray, template: np.ndarray, q: int) -> tuple | None:
     """The values and holes (None if there are none) of a chunk of codes, or None.
 
-    ``template`` is the chunk's layout with every token one ``_TOKEN`` byte,
-    at the offsets ``tokens``.  The chunk must have that layout, each token
-    being null or digits without a leading zero, and every value below q.
+    ``template`` is the chunk's layout with every token, whatever its width,
+    one ``_TOKEN`` byte.  The chunk must have that layout, each token being
+    null or digits without a leading zero, and every value below q.
     """
-    if len(a) == len(template):  # every token one byte wide: a digit in each slot
-        v = a.take(tokens) - ord("0")
-        ok = ((a == template) | (template == _TOKEN)).all() and v.max() < min(q, 10)
-        return (v, None) if ok else None
     digit = (a - ord("0")) < 10
     isval = digit | (a >= ord("a"))  # digits and the letters of "null"; the checks below catch other bytes
     if isval[0] or isval[-1]:

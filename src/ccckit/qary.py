@@ -118,7 +118,7 @@ class MonomialForm:
         return max(sum(1 for v in e if v) for e in self.coeffs)
 
     def evaluate(self, x) -> int:
-        digits = int_to_vec(x if isinstance(x, (int, np.integer)) else vec_to_int(x, self.domain), self.domain)
+        digits = int_to_vec(x if np.ndim(x) == 0 else vec_to_int(x, self.domain), self.domain)
         q = self.domain.q
         total = 0
         for e, c in self.coeffs.items():
@@ -170,11 +170,8 @@ class QaryFunction:
         return self.domain.q
 
     def __call__(self, x) -> int:
-        if isinstance(x, (int, np.integer)):
-            if not 0 <= x < self.domain.L:
-                raise ValueError(f"point {x} out of range [0, {self.domain.L})")
-            return int(self.table[x])
-        return int(self.table[vec_to_int(x, self.domain)])
+        d = self.domain  # int_to_vec and vec_to_int refuse a bool, a float and a point off the domain
+        return int(self.table[vec_to_int(int_to_vec(x, d) if np.ndim(x) == 0 else x, d)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -243,8 +240,8 @@ class RestrictedFunction:
 
     def __call__(self, x) -> int:
         d = self.base.domain
-        idx = x if isinstance(x, (int, np.integer)) else vec_to_int(x, d)
-        digits = int_to_vec(int(idx), d)
+        digits = int_to_vec(x, d) if np.ndim(x) == 0 else tuple(x)
+        idx = vec_to_int(digits, d)
         if any(digits[j] != cj for j, cj in zip(self.J, self.c)):
             raise ValueError(f"point {idx} is outside the restriction support")
         return int(self.base.table[idx])

@@ -657,7 +657,7 @@ def test_reader_memory_is_file_plus_arrays_plus_chunks(tmp_path, holes):
 
 
 # ---------------------------------------------------------------------------
-# the computed cuts of one-byte-token payloads, and the one-buffer writer
+# one-digit payloads, read as two-byte tokens, and the one-buffer writer
 
 
 def one_byte_text(K, M, L, q=3):
@@ -671,6 +671,19 @@ def one_byte_text(K, M, L, q=3):
 
 # (K, M, L): chunks of several codes, and codes larger than _SCAN_BYTES, one a chunk
 CUT_SHAPES = {"codes-a-chunk": (200, 4, 100), "code-beyond-the-budget": (3, 4, 9000)}
+
+
+def test_every_byte_of_a_one_digit_payload(tmp_path):
+    """Each payload byte, through the "]" that closes the list, replaced by each mutation byte."""
+    rng = np.random.default_rng(5)
+    sets = [(3, (2, 3, 5)), (10, (3, 1, 4)), (30, (2, 2, 3))]  # q = 30 with every value one digit
+    for q, shape in sets:
+        data = CodeSet(q, rng.integers(0, min(q, 10), size=shape), meta={"kind": "test"}).dumps().encode()
+        start, stop = construct._HEADER.match(data).end(), data.rfind(b'],"meta":')
+        assert construct._scan_canonical(data) is not None
+        for i in range(start, stop + 1):
+            for byte in sorted(set(MUTATION_BYTES) - {chr(data[i])}):
+                assert_same_outcome(tmp_path, data[:i] + byte.encode() + data[i + 1 :])
 
 
 @pytest.mark.parametrize("shape", CUT_SHAPES.values(), ids=CUT_SHAPES.keys())

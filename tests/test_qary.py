@@ -346,6 +346,17 @@ def test_validate_chains_reports_offender():
         spec.validate_chains()
 
 
+@pytest.mark.parametrize("x", [True, False, 1.5, 0.0])
+@pytest.mark.parametrize("view", ["function", "restriction", "form"])
+def test_a_bool_or_float_index_raises_value_error(view, x):
+    """The index map refuses a bool or a float, for a function, its restriction and its monomial form alike."""
+    f = example72.function()
+    g = {"function": f, "restriction": ck.restrict(f, (1,), (0,)), "form": example72.monomial_form().evaluate}[view]
+    assert g(0) == f(0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        g(x)
+
+
 # ---------------------------------------------------------------------------
 # restrictions
 

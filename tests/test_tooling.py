@@ -1,7 +1,7 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API and
 the config keys; the CLI loads the worked example only for reproduce72; one integer counter, one exact zero
-test, one recount of a reported cell, one root table, one place-value map, a Gram by matmul, one spec object
-and one check of the chain condition."""
+test, one recount of a reported cell, one root table, one-digit text read as it is written, one place-value
+map, a Gram by matmul, one spec object and one check of the chain condition."""
 
 import ast
 import fnmatch
@@ -129,6 +129,16 @@ def test_one_recount():
 def test_one_root_table():
     """np.exp runs once in src, in the cached root table every complex evaluation indexes."""
     assert _calls("exp") == [("waveform", "root_table")]
+
+
+def test_one_digit_text_read_as_it_is_written():
+    """The two-byte tokens of one-digit text are made once, at module level, for the writer and the reader;
+    only the canonical scan calls the one-digit reader, and the chunk scanner has no one-byte branch."""
+    assert set(_calls("_pair")) == {("construct", None)}
+    assert _calls("_read_digits") == [("construct", "_scan_canonical")]
+    tree = ast.parse((SRC / "construct.py").read_text())
+    scan = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scan_chunk")
+    assert "len(template)" not in ast.unparse(scan)
 
 
 def test_one_place_value_map():
