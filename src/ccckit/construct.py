@@ -396,9 +396,9 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
     what follows must be an object with the keys meta and q alone.  Where
     the payload's length is that of one-digit tokens in the header's K, M
     and L, ``_read_digits`` reads it as ``_write_digits`` writes it.
-    Otherwise it is cut into chunks of whole codes at searched cuts, K, M
-    and L are counted from the brackets and must match the header, and
-    each chunk is read by ``_scan_chunk`` against the layout of its codes,
+    Otherwise it is cut into chunks of whole codes at searched cuts, whose
+    codes must sum to the header's K, and each chunk is read by
+    ``_scan_chunk`` against the layout of its codes in the header's M and L,
     straight into the exponent array and the mask of holes.  Either way
     every byte is checked, so the header alone sizes nothing.
     """
@@ -428,11 +428,8 @@ def _scan_canonical(data: bytes) -> CodeSet | None:
             end = stop if cut < 0 else cut + 2
         chunks.append((pos, end, data.count(b"]],[[", pos, end) + 1))
         pos = end + 1  # past the "," between two codes
-    codes = sum(c for *_, c in chunks)
-    seqs = data.count(b"],[", start, data.find(b"]]", start, stop)) + 1
-    entries = data.count(b",", start, data.find(b"]", start, stop)) + 1
     # the header alone sizes nothing, and every entry takes two bytes of the payload
-    if (codes, seqs, entries) != (K, M, L) or 2 * K * M * L > stop - start:
+    if sum(c for *_, c in chunks) != K or 2 * K * M * L > stop - start:
         return None
     code = b"[[" + b"],[".join([b",".join([bytes([_TOKEN])] * L)] * M) + b"]]"
     exps = np.empty(K * M * L, dtype=exps_dtype(q))

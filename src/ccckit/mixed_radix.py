@@ -160,6 +160,11 @@ def vec_to_int(v, d: DomainSpec) -> int:
     return sum(int(digit) * w for digit, w in zip(v, d.weights))
 
 
+def point_index(x, d: DomainSpec) -> int:
+    """The index of a point given as an index or as a digit vector; a bool, a float or a point off the domain raises."""
+    return vec_to_int(int_to_vec(x, d) if np.ndim(x) == 0 else x, d)
+
+
 @functools.lru_cache(maxsize=64)
 def digit_matrix(d: DomainSpec) -> np.ndarray:
     """(L, m) int64 array whose row x is int_to_vec(x, d).  Read-only."""

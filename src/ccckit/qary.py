@@ -7,7 +7,7 @@ Three representations cooperate here:
 * ``MonomialForm`` -- a linear combination of monomials x^e with exponent
   vectors e drawn from the domain.  A monomial only carries factors for the
   strictly positive exponents, so the all-zero exponent vector is the constant
-  monomial 1.
+  monomial 1.  Its values are one exact table, which ``evaluate`` reads.
 * ``GeneralizedQuadraticSpec`` -- the structured family of functions whose
   restrictions are chains of products of univariate maps plus per-variable
   terms, per-block coupling terms, and per-restriction offsets.  Univariate
@@ -28,7 +28,7 @@ from math import prod
 
 import numpy as np
 
-from .mixed_radix import DomainSpec, digit_matrix, int_to_vec, place_digits, vec_to_int
+from .mixed_radix import DomainSpec, digit_matrix, int_to_vec, place_digits, point_index
 
 
 class SpecError(ValueError):
@@ -118,31 +118,28 @@ class MonomialForm:
         return max(sum(1 for v in e if v) for e in self.coeffs)
 
     def evaluate(self, x) -> int:
-        digits = int_to_vec(x if np.ndim(x) == 0 else vec_to_int(x, self.domain), self.domain)
-        q = self.domain.q
-        total = 0
-        for e, c in self.coeffs.items():
-            term = c
-            for xj, ej in zip(digits, e):
-                if ej:
-                    term = term * pow(int(xj), ej, q) % q
-            total += term
-        return total % q
+        return int(self.table()[point_index(x, self.domain)])
 
     def table(self) -> np.ndarray:
-        digits = digit_matrix(self.domain)
-        q = self.domain.q
-        acc = np.zeros(self.domain.L, dtype=np.int64)
+        """(L,) value of the form at every point.  Read-only."""
+        return self._table
+
+    @functools.cached_property
+    def _table(self) -> np.ndarray:
+        d, digits = self.domain, digit_matrix(self.domain)
+        acc = np.zeros(d.L, dtype=np.int64)
         for e, c in self.coeffs.items():
-            term = np.full(self.domain.L, c, dtype=np.int64)
+            term = c
             for j, ej in enumerate(e):
-                if ej:
-                    term = term * np.power(digits[:, j], ej) % q
-            acc = (acc + term) % q
+                if ej:  # x_j^ej, exact: a lookup of pow(u, ej, q) over the digits u of position j
+                    power = np.array([pow(u, ej, d.q) for u in range(d.radix_per_position[j])], dtype=np.int64)
+                    term = term * power[digits[:, j]] % d.q
+            acc = (acc + term) % d.q
+        acc.setflags(write=False)
         return acc
 
     def to_function(self) -> "QaryFunction":
-        return QaryFunction(self.domain, self.table(), provenance=self)
+        return QaryFunction(self.domain, self.table())
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +151,6 @@ class QaryFunction:
 
     domain: DomainSpec
     table: np.ndarray
-    provenance: object = None
 
     def __post_init__(self):
         t = np.asarray(self.table, dtype=np.int64)
@@ -170,8 +166,7 @@ class QaryFunction:
         return self.domain.q
 
     def __call__(self, x) -> int:
-        d = self.domain  # int_to_vec and vec_to_int refuse a bool, a float and a point off the domain
-        return int(self.table[vec_to_int(int_to_vec(x, d) if np.ndim(x) == 0 else x, d)])
+        return int(self.table[point_index(x, self.domain)])
 
     def __eq__(self, other) -> bool:
         return (
@@ -239,9 +234,8 @@ class RestrictedFunction:
         return np.flatnonzero(mask)
 
     def __call__(self, x) -> int:
-        d = self.base.domain
-        digits = int_to_vec(x, d) if np.ndim(x) == 0 else tuple(x)
-        idx = vec_to_int(digits, d)
+        idx = point_index(x, self.base.domain)
+        digits = int_to_vec(idx, self.base.domain)
         if any(digits[j] != cj for j, cj in zip(self.J, self.c)):
             raise ValueError(f"point {idx} is outside the restriction support")
         return int(self.base.table[idx])
@@ -440,4 +434,4 @@ def build_from_spec(s: GeneralizedQuadraticSpec) -> QaryFunction:
             fa = np.asarray(f, dtype=np.int64)[slots[i][:, -1]]
             hb = np.asarray(h, dtype=np.int64)[slots[i + 1][:, 0]]
             table = (table + lam * fa * hb) % q
-    return QaryFunction(s.domain, table, provenance=s)
+    return QaryFunction(s.domain, table)

@@ -87,7 +87,9 @@ class VerifyReport:
     rounding_bound: float = 0.0  # proven bound on each |Theta_j| error of fft-gram; 0 when integer-exact
 
     def summary(self) -> str:
-        verdict = "CCC" if self.is_ccc else f"NOT a CCC ({self.total_violations} violating cells)"
+        reasons = [f"{self.total_violations} violating cells"] * bool(self.total_violations)
+        reasons += [f"K = {self.K} != M = {self.M}"] * (self.K != self.M)
+        verdict = "CCC" if self.is_ccc else f"NOT a CCC ({'; '.join(reasons)})"
         return (
             f"({self.K},{self.L}) set over Z_{self.q}: {verdict}; "
             f"peak {self.peak} = M*L; mode={self.mode}; cells tested {self.shifts_tested}"
@@ -106,9 +108,9 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
 
     All ordered pairs are scanned at shifts 0..L-1; negative shifts are
     covered by the conjugate-reversal symmetry, which maps them onto the
-    reversed pair's positive shifts.  Requirements: same-code shift 0 equals
-    exactly M*L, everything else is zero.  Exact mode uses the fft-gram
-    kernel while its rounding bound is below 1/2 (see the module docstring);
+    reversed pair's positive shifts.  Requirements: K == M, same-code shift
+    0 equals exactly M*L, everything else is zero.  Exact mode uses the
+    fft-gram kernel while its rounding bound is below 1/2 (see the module docstring);
     float mode always uses it, flagging |Theta| >= FLOAT_ZERO_FACTOR * M * L.
     """
     if mode not in ("exact", "float"):
@@ -132,7 +134,7 @@ def verify_ccc(C: CodeSet, mode: str = "exact", max_violations: int = 16) -> Ver
         keys = sorted(_bad_keys(C, range(L)))
         total, keys, kernel, bound = len(keys), keys[:max_violations], "shiftwise", 0.0
     return VerifyReport(
-        is_ccc=not total, peak=M * L, mode=mode, K=K, M=M, L=L, q=q, shifts_tested=K * K * L,
+        is_ccc=not total and K == M, peak=M * L, mode=mode, K=K, M=M, L=L, q=q, shifts_tested=K * K * L,
         violations=tuple(_violation(C, key) for key in keys), total_violations=total, kernel=kernel,
         rounding_bound=bound,
     )

@@ -520,3 +520,26 @@ def test_present_config_keys_must_be_valid(tmp_path, capsys, payload, message):
     err = capsys.readouterr().err
     assert "error:" in err and message in err
     assert not out.exists()
+
+
+def test_a_set_with_fewer_codes_than_sequences_exits_1_and_is_no_kronecker_factor(tmp_path, capsys):
+    """One Golay pair held as one code has no violating cell; verify names K and M and exits 1, and a
+    kronecker build that takes it as a factor exits 2."""
+    golay = write(tmp_path / "golay.json", {"q": 2, "codes": [[[0, 0], [0, 1]]]})
+    assert main(["verify", golay]) == 1
+    assert capsys.readouterr().out.startswith("(1,2) set over Z_2: NOT a CCC (K = 1 != M = 2); ")
+    cfg = write(tmp_path / "kron.json", {"kind": "kronecker", "inputs": [golay, golay]})
+    assert main(["build", cfg, "--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == "error: first factor is not a complete complementary code\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize(("payload", "message"), [
+    ({"kind": "theorem2", "blocks": [{"p": 2, "m": 2}, {"p": 3, "m": 2}, {"p": 5, "m": 2}]},
+     "theorem2 needs exactly two blocks"),
+    ({"kind": "kronecker", "inputs": ["a.json"]}, "kronecker needs a list of at least two input code-set paths"),
+    (dict(CORRUPT_THEOREM1_32, corrupt={"which": "g", "constant": 0}), "which must be 'f' or 'fp'"),
+], ids=["theorem2_three_blocks", "kronecker_one_input", "corrupt_which_g"])
+def test_cli_refusals(tmp_path, capsys, payload, message):
+    assert main(["build", write(tmp_path / "cfg.json", payload)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

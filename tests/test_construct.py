@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -395,3 +396,13 @@ def test_codeset_from_json_rejects_non_rectangular_sets(name):
 
     with pytest.raises(ConfigError):
         CodeSet.from_json(MALFORMED_CODE_SETS[name])
+
+
+@pytest.mark.parametrize(("make", "error", "message"), [
+    (lambda: CodeSet(2, np.zeros((2, 2), dtype=np.int64)), ValueError, "exps must have shape (K, M, L)"),
+    (lambda: CodeSet(2, np.zeros((1, 2, 2), dtype=np.int64), np.ones((1, 2, 3), dtype=bool)), ValueError,
+     "mask shape must match exps"),
+], ids=["exps_2d", "mask_shape"])
+def test_construct_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import numpy as np
 import pytest
@@ -420,3 +421,24 @@ def test_restricted_decomposition_exhaustive(rng):
             for pg in parts_g:
                 total = total + code_accf(pf, pg, tau)
         assert total.counts == code_accf(full_f, full_g, tau).counts
+
+
+GOLAY = RootSequence(2, (0, 0, 0, 1))
+
+
+@pytest.mark.parametrize(("make", "error", "message"), [
+    (lambda: cyclotomic(0), ValueError, "n must be >= 1"),
+    (lambda: GroupRingElement(3, (1, 2)), ValueError, "need 3 multiplicities, got 2"),
+    (lambda: GroupRingElement.zero(2) + GroupRingElement.zero(3), ValueError, "modulus mismatch"),
+    (lambda: GroupRingElement.zero(2) - GroupRingElement.zero(3), ValueError, "modulus mismatch"),
+    (lambda: code_accf([GOLAY, (0, 0, 0, 1)], [GOLAY, GOLAY], 0), TypeError,
+     "expected RootSequence, got <class 'tuple'>"),
+    (lambda: code_accf([GOLAY, RootSequence(3, (0, 0, 0, 1))], [GOLAY, GOLAY], 0), ValueError,
+     "mixed moduli in code row: [2, 3]"),
+    (lambda: code_accf([GOLAY, RootSequence(2, (0, 1))], [GOLAY, GOLAY], 0), ValueError,
+     "mixed lengths in code row: [2, 4]"),
+], ids=["cyclotomic_0", "element_length", "add_across_moduli", "sub_across_moduli", "row_not_root_sequence",
+        "row_mixed_moduli", "row_mixed_lengths"])
+def test_exact_corr_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

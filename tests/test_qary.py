@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 from math import prod
 
 import numpy as np
@@ -12,10 +13,12 @@ from ccckit.mixed_radix import DomainSpec, digit_matrix
 
 from conftest import (
     oracle_digit_matrix,
+    oracle_int_to_vec,
     oracle_restriction_index,
     oracle_restriction_values,
     rand_perm_table,
     rand_table,
+    rand_theorem2_spec,
 )
 from ccckit.qary import (
     GeneralizedQuadraticSpec,
@@ -513,3 +516,46 @@ def test_build_from_spec_matches_the_per_class_oracle(seed):
         s, pis=tuple({c: pi[::-1] for c, pi in pis.items()} for pis in s.pis), offsets=None))
     for block in (i for i, pairs in enumerate(s.chains) if pairs):
         assert_matches_the_per_class_oracle(ck.corrupt_spec(s, block, 0, "fp", constant_table(s.domain.q)))
+
+
+# ---------------------------------------------------------------------------
+# one evaluator and the refusals
+
+
+@pytest.mark.parametrize("blocks", [((17, 2),), ((23, 1),), ((2, 2), (17, 1))], ids=["Z17^2", "Z23", "Z2^2xZ17"])
+def test_monomial_values_are_exact_past_the_int64_wrap(blocks):
+    """Every one-term form x_j^e (e < p_j) and 30 seeded two-term forms: table() equals a Python pow oracle at
+    every point, past 16^16 = 2^64, and evaluate reads that table, given an index or a digit vector."""
+    d = DomainSpec(blocks)
+    q, radix = d.q, d.radix_per_position
+    forms = [{tuple(e * (t == j) for t in range(d.m)): 1} for j in range(d.m) for e in range(radix[j])]
+    rng = random.Random(2024)
+    forms += [{tuple(rng.randrange(p) for p in radix): rng.randrange(1, q) for _ in range(2)} for _ in range(30)]
+    points = [oracle_int_to_vec(x, d) for x in range(d.L)]
+    for coeffs in forms:
+        form = MonomialForm(d, coeffs)
+        want = [sum(c * prod(pow(xj, ej, q) for xj, ej in zip(x, e)) for e, c in coeffs.items()) % q for x in points]
+        assert form.table().tolist() == want, coeffs
+        assert [form.evaluate(x) for x in range(d.L)] == want, coeffs
+        assert [form.evaluate(x) for x in points] == want, coeffs
+        assert form.table() is form.table() and not form.table().flags.writeable
+
+
+def _refusal_spec():
+    return rand_theorem2_spec(random.Random(0), 2, 3, 3, 2)
+
+
+@pytest.mark.parametrize(("make", "message"), [
+    (lambda: ck.QaryFunction(D72, np.zeros(71, dtype=np.int64)), "table shape (71,) != (L,) = (72,)"),
+    (lambda: ck.QaryFunction(D72, np.full(72, 6)), "table values must lie in [0, 6)"),
+    (lambda: ck.restrict(example72.function(), (0, 0), (1, 1)), "duplicate positions in J=(0, 0)"),
+    (lambda: ck.restrict(example72.function(), (0, 1), (1,)), "J and c must have equal length"),
+    (lambda: ck.restrict(example72.function(), (5,), (0,)), "position 5 out of range"),
+    (lambda: dataclasses.replace(_refusal_spec(), J=((),)), "J, pis, chains, gs must each have one entry per block"),
+    (lambda: dataclasses.replace(_refusal_spec(), J=((3,), ())), "J[0]=(3,) must be distinct positions of block 0"),
+    (lambda: dataclasses.replace(_refusal_spec(), couplings=()), "need 1 coupling triples, got 0"),
+], ids=["table_shape", "table_range", "restrict_repeated_position", "restrict_unequal_J_c",
+        "restrict_position_off_domain", "spec_block_entries", "spec_J_outside_block", "spec_couplings"])
+def test_qary_refusals(make, message):
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        make()

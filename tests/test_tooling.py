@@ -1,7 +1,7 @@
 """Repository checks: names the benchmark rebinds or calls still exist; the README lists the public API and
 the config keys; the CLI loads the worked example only for reproduce72; one integer counter, one exact zero
 test, one recount of a reported cell, one root table, one-digit text read as it is written, one place-value
-map, a Gram by matmul, one spec object and one check of the chain condition."""
+map, a Gram by matmul, one spec object and one check of the chain condition, one evaluator of a monomial form."""
 
 import ast
 import fnmatch
@@ -176,3 +176,20 @@ def test_one_spec_object_and_one_chain_check():
 
     for name in ("restriction_classes", "slot_digits"):
         assert isinstance(vars(GeneralizedQuadraticSpec)[name], functools.cached_property), name
+
+
+def test_one_evaluator_and_one_index_map():
+    """A monomial form's values come from its exact table alone: nothing in src calls (np.)power, and
+    MonomialForm.evaluate calls table() and does no arithmetic of its own.  Every point, an index or a digit
+    vector, takes one index map: only mixed_radix.point_index calls vec_to_int.  No src module names the
+    dropped ``provenance`` field."""
+    assert _calls("power") == []
+    assert _calls("vec_to_int") == [("mixed_radix", "point_index")]
+    tree = ast.parse((SRC / "qary.py").read_text())
+    form = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "MonomialForm")
+    evaluate = next(node for node in form.body if isinstance(node, ast.FunctionDef) and node.name == "evaluate")
+    calls = {node.func.attr for node in ast.walk(evaluate) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)}
+    assert "table" in calls
+    assert not [node for node in ast.walk(evaluate) if isinstance(node, (ast.BinOp, ast.AugAssign, ast.UnaryOp))]
+    assert not [path.name for path in SRC.glob("*.py") if "provenance" in path.read_text()]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -329,3 +330,24 @@ def test_verify_rejects_unknown_mode():
 def test_verify_report_summary_strings(rng):
     C = ck.build_code_set(rand_theorem1_spec(rng, 2, 2))
     assert "CCC" in ck.verify_ccc(C).summary()
+
+
+def test_a_set_with_fewer_codes_than_sequences_is_no_ccc():
+    """One Golay pair held as one code (K = 1, M = 2) has no violating cell, but a CCC is K x K."""
+    golay = ck.CodeSet(2, np.array([[[0, 0], [0, 1]]]))
+    report = ck.verify_ccc(golay)
+    assert (report.is_ccc, report.total_violations, report.K, report.M) == (False, 0, 1, 2)
+    assert "NOT a CCC (K = 1 != M = 2)" in report.summary()
+    assert not ck.verify_ccc(golay, mode="float").is_ccc
+    with pytest.raises(ValueError, match="^first factor is not a complete complementary code$"):
+        ck.kronecker_compose(golay, ck.trivial_code_set())
+    bad = ck.CodeSet(2, np.zeros((1, 2, 2), dtype=np.int64))
+    assert "NOT a CCC (1 violating cells; K = 1 != M = 2)" in ck.verify_ccc(bad).summary()
+
+
+@pytest.mark.parametrize(("make", "error", "message"), [
+    (lambda: ck.lemma1_equiv_check(7), ValueError, "q=7 too large for exhaustive check; pass sample="),
+], ids=["lemma1_without_sample"])
+def test_verify_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -84,3 +86,11 @@ def test_root_sequence_validation():
     vals = seq.to_complex()
     assert vals[1] == 0
     assert abs(vals[2] - np.exp(2j * np.pi * 5 / 6)) < 1e-12
+
+
+@pytest.mark.parametrize(("make", "error", "message"), [
+    (lambda: RootSequence(0, ()), ValueError, "modulus must be >= 1"),
+], ids=["modulus_0"])
+def test_waveform_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        make()
